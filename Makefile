@@ -66,7 +66,7 @@ bench-contended:
 bench-conformance:
 	$(GO) test -race -count=1 -run 'Batching' ./internal/workloads
 	$(GO) test -race -count=1 \
-		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|SpanFaultBatching' \
+		-run 'TestRegistryConcurrentLanes|TestIntervalArray|TestRegShardMask|TestMMUConcurrentLanes|SpanFaultBatching' \
 		./internal/core ./internal/hostmmu
 
 # The benchmark-regression gate: re-run the micro + figure suites and
@@ -82,12 +82,12 @@ baseline:
 smoke:
 	$(GO) run ./cmd/gmacbench -small -json /tmp/gmacbench-smoke.json fig8
 
-# Native fuzzing of the interval tree, the manager op stream, the oplog
+# Native fuzzing of the registry arrays, the manager op stream, the oplog
 # wire decoder, and the race analyser, FUZZTIME per target (see
 # docs/testing.md). The decoder and race-check fuzzers seed from the
 # recorded corpus in testdata/corpus/.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzRBTree$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistry$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzManagerOps$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOpLogDecode$$' -fuzztime $(FUZZTIME) ./internal/oplog
 	$(GO) test -run '^$$' -fuzz '^FuzzRaceCheck$$' -fuzztime $(FUZZTIME) ./internal/racecheck

@@ -240,17 +240,7 @@ func (c *Context) Alloc(size int64, opts ...AllocOption) (Ptr, error) {
 // annotation; ReadOnlyHint and WriteOnlyHint override objects' declared
 // access modes for this call.
 func (c *Context) Call(kernel string, args []uint64, opts ...CallOption) error {
-	o := resolveCallOptions(opts)
-	err := c.mgr.InvokeHinted(kernel, core.CallHints{
-		Writes:    o.writes,
-		Annotated: o.annotate,
-		ReadOnly:  o.ro,
-		WriteOnly: o.wo,
-	}, args...)
-	if err != nil || o.async {
-		return err
-	}
-	return c.mgr.Sync()
+	return call(c.mgr, kernel, args, opts)
 }
 
 // Sync implements adsmSync: it blocks until the accelerator finishes and

@@ -164,17 +164,7 @@ func (mc *MultiContext) Call(kernel string, args []uint64, opts ...CallOption) e
 		}
 		devArgs[i] = a
 	}
-	o := resolveCallOptions(opts)
-	err := target.InvokeHinted(kernel, core.CallHints{
-		Writes:    o.writes,
-		Annotated: o.annotate,
-		ReadOnly:  o.ro,
-		WriteOnly: o.wo,
-	}, devArgs...)
-	if err != nil || o.async {
-		return err
-	}
-	return target.Sync()
+	return call(target, kernel, devArgs, opts)
 }
 
 // Sync waits for every device and runs each manager's acquire actions. The

@@ -197,12 +197,25 @@ func Async() CallOption {
 	return func(o *callOptions) { o.async = true }
 }
 
-func resolveCallOptions(opts []CallOption) callOptions {
+// call launches kernel on mgr with the resolved options. Without Async the
+// launch and the acquire run as one core.Manager.Call, so a concurrent
+// Call on the same manager cannot slip between them and retarget the
+// acquire to its own kernel's objects.
+func call(mgr *core.Manager, kernel string, args []uint64, opts []CallOption) error {
 	var o callOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return o
+	h := core.CallHints{
+		Writes:    o.writes,
+		Annotated: o.annotate,
+		ReadOnly:  o.ro,
+		WriteOnly: o.wo,
+	}
+	if o.async {
+		return mgr.InvokeHinted(kernel, h, args...)
+	}
+	return mgr.Call(kernel, h, args...)
 }
 
 // Region is a held regional acquire scope (the regional-consistency

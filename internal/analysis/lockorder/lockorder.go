@@ -1,7 +1,7 @@
 // Package lockorder enforces the internal/core lock hierarchy statically.
 //
 // The Manager's documented lock discipline (manager.go) is a strict
-// order: callMu before per-Object mu before treeMu before the leaf locks
+// order: callMu before per-Object mu before shardMu before the leaf locks
 // (statsMu, evictMu, rollingCache.mu, introMu), with the leaves never
 // nesting anything and never being held across waits. A violation is a
 // potential deadlock that -race cannot see (races and deadlocks are

@@ -21,8 +21,9 @@ var requiredAnnotations = map[string][]string{
 		"(*registry).objectAt",
 		"(*registry).blockAt",
 		"regShardOf",
-		"(*spanIndex).search",
-		"(*indexSnapshot).find",
+		"(*regShard).load",
+		"findObject",
+		"findBlock",
 		"(*rollingCache).push",
 		"resolveFault",
 		"(*Manager).record",

@@ -36,54 +36,23 @@ func benchRig(b *testing.B, cfg Config) *rig {
 	return &rig{clock: clock, bd: bd, mmu: mmu, va: va, dev: dev, mgr: mgr}
 }
 
-// BenchmarkBlockTreeLookup measures the fault handler's O(log n) search
-// over a large population of blocks (the §5.2 overhead).
-func BenchmarkBlockTreeLookup(b *testing.B) {
-	tr := &rbTree{}
-	const blocks = 1 << 14
-	for i := 0; i < blocks; i++ {
-		if err := tr.insert(mem.Addr(i)<<12, 4096, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tr.lookup(mem.Addr(i%blocks)<<12+128) == nil {
-			b.Fatal("lookup miss")
-		}
-	}
-}
-
-// BenchmarkBlockLookup compares the two registry read paths at several
-// populations: the red-black tree (writer-side structure, lock aside) and
-// the RCU span index the fault handler actually searches.
+// BenchmarkBlockLookup measures the fault handler's registry search (the
+// §5.2 O(log n) overhead) at several populations of one-block objects.
 func BenchmarkBlockLookup(b *testing.B) {
 	for _, objects := range []int{16, 1 << 10, 64 << 10} {
-		tr := &rbTree{}
+		var reg registry
 		for i := 0; i < objects; i++ {
-			if err := tr.insert(mem.Addr(i)<<12, 4096, i); err != nil {
+			o := &Object{addr: mem.Addr(i) << 12, size: 4096}
+			o.blocks = []*Block{{obj: o, addr: o.addr, size: o.size}}
+			if err := reg.insertObject(o); err != nil {
 				b.Fatal(err)
 			}
 		}
-		var ix spanIndex
-		ix.rebuild(tr, ix.gen.Load(), 0)
-		name := func(kind string) string {
-			return fmt.Sprintf("%s/%dobjects", kind, objects)
-		}
-		b.Run(name("rbtree"), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%dobjects", objects), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if tr.lookup(mem.Addr(i%objects)<<12+128) == nil {
+				if blk, _ := reg.blockAt(mem.Addr(i%objects)<<12 + 128); blk == nil {
 					b.Fatal("lookup miss")
-				}
-			}
-		})
-		b.Run(name("spanindex"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				v, _, ok := ix.search(mem.Addr(i%objects)<<12 + 128)
-				if !ok || v == nil {
-					b.Fatal("search miss")
 				}
 			}
 		})

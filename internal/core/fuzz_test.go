@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/accel"
@@ -11,133 +13,102 @@ import (
 	"repro/internal/sim"
 )
 
-// FuzzRBTree drives the interval tree with an encoded op stream and checks
-// every observable result against a flat map oracle, then verifies the
-// red-black properties. Each op is 3 bytes: opcode, address selector,
-// size selector; addresses are deliberately compressed into a small range
-// so overlapping inserts, exact-match removes and containing-interval
-// lookups all occur frequently.
-func FuzzRBTree(f *testing.F) {
+// FuzzRegistry drives the shard array helpers (withRun, without,
+// findObject, findBlock) with an encoded op stream and checks every
+// observable result against a flat map oracle. Each op is 3 bytes:
+// opcode, address selector, size selector; addresses are deliberately
+// compressed into a small range so overlapping inserts, exact-match
+// removes, inserts into holes and containing-interval lookups all occur
+// frequently. Every op also checks that the arrays it replaced are
+// unchanged, the property lock-free readers of a published view rely on
+// when an append shares its backing array.
+func FuzzRegistry(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 0, 9, 4, 2, 1, 0, 1, 1, 0})
 	f.Add([]byte{0, 0, 31, 0, 8, 31, 0, 16, 31, 1, 8, 0, 3, 4, 0})
 	f.Add(bytes.Repeat([]byte{0, 7, 3, 1, 7, 0, 2, 7, 1}, 20))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		type ival struct{ size, val int64 }
-		tree := &rbTree{}
-		oracle := map[mem.Addr]ival{}
-		find := func(a mem.Addr) (mem.Addr, ival, bool) {
-			for base, iv := range oracle {
-				if a >= base && a < base+mem.Addr(iv.size) {
-					return base, iv, true
+		// One single-block object per interval, kept in both arrays.
+		var objs []*Object
+		var blks []*Block
+		oracle := map[mem.Addr]*Block{}
+		find1 := func(a mem.Addr) *Block {
+			for base, b := range oracle {
+				if a >= base && a < base+mem.Addr(b.size) {
+					return b
 				}
 			}
-			return 0, ival{}, false
+			return nil
 		}
 		overlaps := func(a mem.Addr, s int64) bool {
-			for base, iv := range oracle {
-				if a < base+mem.Addr(iv.size) && base < a+mem.Addr(s) {
+			for base, b := range oracle {
+				if a < base+mem.Addr(b.size) && base < a+mem.Addr(s) {
 					return true
 				}
 			}
 			return false
 		}
-		val := int64(0)
 		for i := 0; i+3 <= len(data); i += 3 {
 			op := data[i] % 4
 			addr := mem.Addr(data[i+1]) * 8
 			size := int64(data[i+2]%32) + 1
+			prevO, prevOCopy := objs, slices.Clone(objs)
+			prevB, prevBCopy := blks, slices.Clone(blks)
 			switch op {
 			case 0: // insert
-				err := tree.insert(addr, size, val)
-				if wantErr := overlaps(addr, size); (err != nil) != wantErr {
-					t.Fatalf("insert(%#x,+%d) err=%v, overlap oracle says %v", uint64(addr), size, err, wantErr)
+				o := &Object{addr: addr, size: size}
+				b := &Block{obj: o, addr: addr, size: size}
+				nextO, errO := withRun(objs, []*Object{o})
+				nextB, errB := withRun(blks, []*Block{b})
+				wantErr := overlaps(addr, size)
+				if (errO != nil) != wantErr || (errB != nil) != wantErr {
+					t.Fatalf("insert(%#x,+%d) err=%v/%v, overlap oracle says %v",
+						uint64(addr), size, errO, errB, wantErr)
 				}
-				if err == nil {
-					oracle[addr] = ival{size, val}
+				if !wantErr {
+					objs, blks = nextO, nextB
+					oracle[addr] = b
 				}
-				val++
 			case 1: // remove (exact start address)
-				got := tree.remove(addr)
-				iv, ok := oracle[addr]
-				if ok != (got != nil) {
-					t.Fatalf("remove(%#x) = %v, oracle has-entry %v", uint64(addr), got, ok)
+				nextO, nextB := without(objs, addr, addr+1), without(blks, addr, addr+1)
+				want := 0
+				if _, ok := oracle[addr]; ok {
+					want = 1
 				}
-				if ok {
-					if got.(int64) != iv.val {
-						t.Fatalf("remove(%#x) = %v, want %d", uint64(addr), got, iv.val)
-					}
-					delete(oracle, addr)
+				if len(objs)-len(nextO) != want || len(blks)-len(nextB) != want {
+					t.Fatalf("remove(%#x) dropped %d/%d entries, want %d",
+						uint64(addr), len(objs)-len(nextO), len(blks)-len(nextB), want)
 				}
-			case 2: // lookup (containing interval)
-				got := tree.lookup(addr)
-				_, iv, ok := find(addr)
-				if ok != (got != nil) {
-					t.Fatalf("lookup(%#x) = %v, oracle contains %v", uint64(addr), got, ok)
+				delete(oracle, addr)
+				objs, blks = nextO, nextB
+			case 2, 3: // lookup (containing interval, probe accounting)
+				want := find1(addr)
+				got, probes := findBlock(blks, addr)
+				if got != want {
+					t.Fatalf("findBlock(%#x) = %v, oracle %v", uint64(addr), got, want)
 				}
-				if ok && got.(int64) != iv.val {
-					t.Fatalf("lookup(%#x) = %v, want %d", uint64(addr), got, iv.val)
+				// A binary search over n entries probes at most
+				// bits.Len(n) times; a miss on an empty array costs one.
+				if probes <= 0 || probes > max(int64(bits.Len(uint(len(blks)))), 1) {
+					t.Fatalf("findBlock(%#x) charged %d probes over %d entries", uint64(addr), probes, len(blks))
 				}
-			case 3: // search (lookup + visit accounting)
-				got, visits := tree.search(addr)
-				if _, iv, ok := find(addr); ok {
-					if got == nil || got.(int64) != iv.val {
-						t.Fatalf("search(%#x) = %v, want %d", uint64(addr), got, iv.val)
-					}
-					if visits <= 0 {
-						t.Fatalf("search(%#x) hit with %d visits", uint64(addr), visits)
-					}
-				} else if got != nil {
-					t.Fatalf("search(%#x) = %v, oracle says absent", uint64(addr), got)
+				if o := findObject(objs, addr); (want == nil && o != nil) || (want != nil && o != want.obj) {
+					t.Fatalf("findObject(%#x) = %v, oracle %v", uint64(addr), o, want)
 				}
+			}
+			if !slices.Equal(prevO, prevOCopy) || !slices.Equal(prevB, prevBCopy) {
+				t.Fatalf("op %d at %#x rewrote an array it replaced", op, uint64(addr))
 			}
 		}
-		if err := tree.checkInvariants(); err != nil {
-			t.Fatalf("red-black invariants: %v", err)
+		if len(objs) != len(oracle) || len(blks) != len(oracle) {
+			t.Fatalf("arrays hold %d objects and %d blocks, oracle %d", len(objs), len(blks), len(oracle))
 		}
-		if tree.Len() != len(oracle) {
-			t.Fatalf("tree has %d intervals, oracle %d", tree.Len(), len(oracle))
-		}
-		prevEnd := mem.Addr(0)
-		first := true
-		tree.each(func(addr mem.Addr, size int64, value any) {
-			if !first && addr < prevEnd {
-				t.Fatalf("each() out of order at %#x", uint64(addr))
+		for k, b := range blks {
+			if oracle[b.addr] != b || objs[k] != b.obj {
+				t.Fatalf("arrays hold [%#x,+%d) at %d, absent from the oracle", uint64(b.addr), b.size, k)
 			}
-			first = false
-			prevEnd = addr + mem.Addr(size)
-			iv, ok := oracle[addr]
-			if !ok || iv.size != size || iv.val != value.(int64) {
-				t.Fatalf("each() visited [%#x,+%d)=%v, oracle %+v (present %v)", uint64(addr), size, value, iv, ok)
+			if k > 0 && b.addr < end(blks[k-1]) {
+				t.Fatalf("arrays out of order at %#x", uint64(b.addr))
 			}
-		})
-
-		// The fault path no longer searches the tree directly: it binary-
-		// searches an RCU snapshot built from it (index.go). Cross-check the
-		// snapshot against the same oracle over the whole address range the
-		// ops could touch, including gaps and the interval edges.
-		var ix spanIndex
-		ix.invalidate()
-		ix.rebuild(tree, ix.gen.Load(), 0)
-		for a := mem.Addr(0); a <= 256*8; a++ {
-			got, probes, ok := ix.search(a)
-			if !ok {
-				t.Fatalf("snapshot stale immediately after rebuild at %#x", uint64(a))
-			}
-			if probes <= 0 {
-				t.Fatalf("search(%#x) charged %d probes", uint64(a), probes)
-			}
-			if _, iv, hit := find(a); hit {
-				if got == nil || got.(int64) != iv.val {
-					t.Fatalf("index find(%#x) = %v, oracle %d", uint64(a), got, iv.val)
-				}
-			} else if got != nil {
-				t.Fatalf("index find(%#x) = %v, oracle says absent", uint64(a), got)
-			}
-		}
-		// Invalidation must force the slow path.
-		ix.invalidate()
-		if _, _, ok := ix.search(0); ok {
-			t.Fatal("search succeeded against an invalidated snapshot")
 		}
 
 		// Cross-check the sharded registry against the same oracle. The
@@ -147,19 +118,19 @@ func FuzzRBTree(f *testing.F) {
 		const scale = regGranuleBits
 		reg := &registry{}
 		byAddr := map[mem.Addr]*Object{}
-		for base, iv := range oracle {
-			o := &Object{addr: base << scale, size: iv.size << scale}
-			if err := reg.insertObject(o); err != nil {
-				t.Fatalf("registry insert [%#x,+%d): %v", uint64(o.addr), o.size, err)
+		for base, b := range oracle {
+			ro := &Object{addr: base << scale, size: b.size << scale}
+			if err := reg.insertObject(ro); err != nil {
+				t.Fatalf("registry insert [%#x,+%d): %v", uint64(ro.addr), ro.size, err)
 			}
-			byAddr[base] = o
+			byAddr[base] = ro
 		}
 		for a := mem.Addr(0); a <= 256*8; a++ {
 			got := reg.objectAt(a << scale)
-			if base, _, hit := find(a); hit {
-				if got != byAddr[base] {
+			if b := find1(a); b != nil {
+				if got != byAddr[b.addr] {
 					t.Fatalf("registry objectAt(%#x) = %v, want object at %#x",
-						uint64(a<<scale), got, uint64(base<<scale))
+						uint64(a<<scale), got, uint64(b.addr<<scale))
 				}
 			} else if got != nil {
 				t.Fatalf("registry objectAt(%#x) = %v, oracle says absent", uint64(a<<scale), got)
@@ -168,8 +139,7 @@ func FuzzRBTree(f *testing.F) {
 		if want := int64(len(oracle)); reg.nobjects.Load() != want {
 			t.Fatalf("registry holds %d objects, oracle %d", reg.nobjects.Load(), want)
 		}
-		// Remove every other object and re-verify: stale snapshots must
-		// invalidate shard by shard.
+		// Remove every other object and re-verify shard by shard.
 		removed := map[mem.Addr]bool{}
 		i := 0
 		for base, o := range byAddr {
@@ -181,11 +151,10 @@ func FuzzRBTree(f *testing.F) {
 		}
 		for a := mem.Addr(0); a <= 256*8; a++ {
 			got := reg.objectAt(a << scale)
-			base, _, hit := find(a)
-			if hit && !removed[base] {
-				if got != byAddr[base] {
+			if b := find1(a); b != nil && !removed[b.addr] {
+				if got != byAddr[b.addr] {
 					t.Fatalf("after remove: objectAt(%#x) = %v, want object at %#x",
-						uint64(a<<scale), got, uint64(base<<scale))
+						uint64(a<<scale), got, uint64(b.addr<<scale))
 				}
 			} else if got != nil {
 				t.Fatalf("after remove: objectAt(%#x) = %v, want nil", uint64(a<<scale), got)

@@ -18,7 +18,7 @@ import (
 //     (except under batch-update, which never uses protection).
 //  2. Every Dirty block under rolling-update sits in the rolling cache,
 //     and the cache never exceeds its capacity.
-//  3. The block tree and the per-object block lists agree.
+//  3. The block registry and the per-object block lists agree.
 //  4. Block coverage is exact: blocks tile their object with no gaps.
 //
 // Each object is checked under its own lock, so the check may run while
@@ -55,9 +55,8 @@ func (m *Manager) checkInvariants() error {
 				return
 			}
 			off += b.size
-			got := m.reg.blockLookup(b.addr)
-			if got != any(b) {
-				err = fmt.Errorf("core: block tree disagrees at %#x", uint64(b.addr))
+			if got, _ := m.reg.blockAt(b.addr); got != b {
+				err = fmt.Errorf("core: block registry disagrees at %#x", uint64(b.addr))
 				return
 			}
 			if e := m.checkBlockProt(b); e != nil {

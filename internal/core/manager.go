@@ -1,3 +1,9 @@
+// Package core implements the paper's primary contribution: the ADSM
+// shared-memory manager (Section 4), with its object registry, the three
+// memory coherence protocols of Figure 6 (batch-update, lazy-update,
+// rolling-update), the rolling cache with adaptive rolling size, and the
+// CPU-side fault handler. All coherence actions run on the host; the
+// accelerator stays passive (the asymmetry that gives ADSM its name).
 package core
 
 import (
@@ -107,8 +113,8 @@ type Config struct {
 
 	// Host-side costs of the GMAC API entry points.
 	MallocCost, FreeCost, LaunchCost sim.Time
-	// TreeNodeCost is charged per tree node visited during the fault
-	// handler's block search (§5.2: the O(log2 n) overhead).
+	// TreeNodeCost is charged per binary-search probe of the fault
+	// handler's block search (§5.2: the O(log2 n) tree overhead).
 	TreeNodeCost sim.Time
 	// MprotectCost is charged per protection change.
 	MprotectCost sim.Time
@@ -143,11 +149,10 @@ type Config struct {
 //   - callMu: serialises Invoke/Sync (one call/return window at a time per
 //     accelerator) and guards invokeKernel. Never held with an Object.mu
 //     already held.
-//   - treeMu: the per-shard RWMutexes of the sharded registry
-//     (registry.go). Shards are locked one at a time, never nested, and
-//     may be taken for reading while holding Object.mu (the fault path's
-//     snapshot rebuild); no code path acquires Object.mu while holding a
-//     shard lock, so the order Object.mu → treeMu is acyclic.
+//   - shardMu: the per-shard writer mutexes of the registry (registry.go),
+//     taken only by Alloc and Free, one shard at a time, never nested and
+//     never with an Object.mu held. Lookups, the fault path included, read
+//     the shard's published view and take no lock.
 //   - flushMu, evictMu, rollingCache.mu, and the MMU/device/clock locks
 //     are leaves: nothing else is acquired under them. The aggregate stats
 //     are plain atomics (statsCounters) and take no lock at all.
@@ -171,8 +176,8 @@ type Manager struct {
 	moded       atomic.Int64
 	rollingObjs atomic.Int64
 	// reg is the sharded object/block registry (registry.go): per-shard
-	// interval trees with RCU span indexes over them, so concurrent lanes
-	// fault, rebuild and allocate without contending on one write lock.
+	// sorted arrays published atomically, so concurrent lanes fault with no
+	// lock and allocate without contending on one write lock.
 	reg     registry
 	rolling *rollingCache
 	// stats are the aggregate counters, one atomic per counter
@@ -317,13 +322,6 @@ func (m *Manager) RollingLen() int { return m.rolling.Len() }
 func (m *Manager) Objects() int {
 	return int(m.reg.nobjects.Load())
 }
-
-// IndexRebuilds returns how many span-index snapshots the registry has
-// published since construction, summed over shards. Exposed for the
-// rebuild-storm regression test: under churn the count must track the
-// invalidation generations, not the (much larger) number of stale
-// lookups.
-func (m *Manager) IndexRebuilds() int64 { return m.reg.rebuilds() }
 
 // SetTracer installs (or removes, with nil) an event log recording every
 // protocol action with virtual timestamps.
@@ -641,21 +639,19 @@ func (m *Manager) Free(addr mem.Addr) error {
 	return err
 }
 
-// objectAt returns the shared object containing addr, or nil. The common
-// case is a lock-free binary search of the owning shard's current object
-// snapshot; a stale snapshot (shard changed since it was built) is rebuilt
-// under that shard's read lock, then searched.
+// objectAt returns the shared object containing addr, or nil: a lock-free
+// binary search of the owning shard's current objects.
 //
 //adsm:noalloc
 func (m *Manager) objectAt(addr mem.Addr) *Object {
 	return m.reg.objectAt(addr)
 }
 
-// blockAt resolves the fault handler's block lookup: the payload containing
+// blockAt resolves the fault handler's block lookup: the block containing
 // addr (nil if unshared) and the probe count charged as §5.2 search cost.
 //
 //adsm:noalloc
-func (m *Manager) blockAt(addr mem.Addr) (any, int64) {
+func (m *Manager) blockAt(addr mem.Addr) (*Block, int64) {
 	return m.reg.blockAt(addr)
 }
 
@@ -806,11 +802,31 @@ func (m *Manager) seqAt(addr mem.Addr) uint32 {
 	return 0
 }
 
-// invoke dispatches a kernel. The hint addresses are recorded in argument
-// order — the resolved objectSet's map order is not reproducible.
+// invoke dispatches a kernel.
 func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 	m.callMu.Lock()
 	defer m.callMu.Unlock()
+	return m.invokeLocked(kernel, h, args)
+}
+
+// Call is InvokeHinted followed by Sync under one callMu hold: the
+// acquire sweep covers exactly the objects this kernel's release covered.
+// Invoking and syncing separately leaves a window in which another host
+// thread's Invoke retargets the sweep to its own kernel, so this call's
+// objects would never be re-acquired.
+func (m *Manager) Call(kernel string, h CallHints, args ...uint64) error {
+	m.callMu.Lock()
+	defer m.callMu.Unlock()
+	if err := m.invokeLocked(kernel, h, args); err != nil {
+		return err
+	}
+	return m.syncLocked()
+}
+
+// invokeLocked dispatches a kernel; the caller holds callMu. The hint
+// addresses are recorded in argument order — the resolved objectSet's map
+// order is not reproducible.
+func (m *Manager) invokeLocked(kernel string, h CallHints, args []uint64) error {
 	// Settle deferred cross-object evictions before the release sweep so the
 	// rolling cache and block states are consistent at the call boundary.
 	m.drainEvictions()
@@ -875,6 +891,11 @@ func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 func (m *Manager) Sync() error {
 	m.callMu.Lock()
 	defer m.callMu.Unlock()
+	return m.syncLocked()
+}
+
+// syncLocked is Sync; the caller holds callMu.
+func (m *Manager) syncLocked() error {
 	if err := m.checkDeviceLost("sync"); err != nil {
 		return err
 	}
@@ -895,7 +916,7 @@ func (m *Manager) Sync() error {
 func (m *Manager) HandleFault(f hostmmu.Fault) error { return m.handleFault(f) }
 
 // handleFault is installed as the MMU fault handler: it locates the block
-// (charging the tree-search cost the paper analyses in §5.2) and lets the
+// (charging the search cost the paper analyses in §5.2) and lets the
 // protocol resolve the Figure 6 transition.
 //
 // Faults arrive synchronously from host-access paths that already hold the
@@ -910,7 +931,7 @@ func (m *Manager) handleFault(f hostmmu.Fault) error {
 		m.mets.faultNs.Observe(int64(m.clock.Now() - t0))
 		m.endSpan(sp)
 	}()
-	v, visits := m.blockAt(f.Addr)
+	b, visits := m.blockAt(f.Addr)
 	m.mets.searchDepth.Observe(visits)
 	search := sim.Time(visits) * m.cfg.TreeNodeCost
 	m.stats.Faults.Add(1)
@@ -927,10 +948,9 @@ func (m *Manager) handleFault(f hostmmu.Fault) error {
 		m.mets.readFaults.Inc()
 	}
 	m.charge(sim.CatSignal, search)
-	if v == nil {
+	if b == nil {
 		return errUnsharedFault(f.Addr)
 	}
-	b := v.(*Block)
 	b.obj.counters.faults.Add(1)
 	if f.Access == hostmmu.AccessWrite {
 		b.obj.counters.writeFaults.Add(1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -8,14 +9,23 @@ import (
 	"repro/internal/mem"
 )
 
-// This file is the sharded object/block registry. PR 4 made the per-fault
-// lookup lock-free (the RCU span indexes of index.go), but every snapshot
-// rebuild and every Alloc/Free still funnelled through one global treeMu:
-// with N host lanes faulting concurrently under registry churn, that one
-// write lock was the remaining shared point of serialisation. The registry
-// is now split into regShards address-range shards, each owning its own
-// interval trees, span indexes, and RWMutex, so lanes working on disjoint
-// objects rebuild and mutate disjoint shards.
+// This file is the object/block registry: the structure whose search the
+// paper charges on every page fault (§5.2 keeps blocks in a balanced
+// binary tree and attributes the small-block overhead to its O(log2 n)
+// search). Here the O(log2 n) search is a binary search over an
+// address-sorted array, and its probe count is the §5.2 charge
+// (TreeNodeCost per probe, one probe for a miss on an empty shard).
+//
+// The registry is split into regShards address-range shards. Each shard
+// publishes one immutable shardView — its objects and its blocks, both
+// sorted by address — through an atomic pointer. Readers (the fault
+// handler, object lookups, sweeps) load the current view and search it
+// with no lock, so they are always fresh and never fall back to another
+// structure. Writers (Alloc and Free, rare next to faults) build the next
+// view under the shard's mutex and publish it. The VA allocator hands out
+// ascending addresses, so an insert usually sorts after the shard's last
+// entry and is appended in place (see withRun); only an insert into a hole
+// or a remove copies the shard's arrays.
 //
 // Sharding is by address granule: the shard of an address is a
 // multiplicative hash of its 1 MiB granule number, so consecutive granules
@@ -24,9 +34,7 @@ import (
 // deterministic function of the address. An interval is inserted into
 // every shard its granules hash to; a point lookup needs only the shard of
 // its own granule, because any interval containing the address overlaps
-// that granule. The fault path stays allocation-free: shard selection is
-// two integer operations, then the shard's spanIndex fast path runs
-// exactly as before.
+// that granule.
 
 const (
 	// regShardBits sets the shard count. 16 shards comfortably exceeds the
@@ -36,8 +44,8 @@ const (
 	regShards    = 1 << regShardBits
 	// regGranuleBits sets the 1 MiB address granule that maps to one shard.
 	// Smaller would spread single objects over all shards (making Alloc
-	// lock everything); larger would lump neighbouring benchmark objects
-	// onto one shard and re-create the contention this file removes.
+	// touch everything); larger would lump neighbouring benchmark objects
+	// onto one shard and serialise their writers.
 	regGranuleBits = 20
 )
 
@@ -70,19 +78,36 @@ func regShardMask(addr mem.Addr, size int64) uint32 {
 	return mask
 }
 
-// regShard is one slice of the registry: the interval trees are the
-// writer-side source of truth, the span indexes the RCU read path over
-// them, exactly the structure the pre-shard registry had globally.
+// shardView is one shard's published state: every object and every block
+// overlapping the shard's granules, each array sorted by address. Entries
+// below each array's length never change once published.
+type shardView struct {
+	objects []*Object
+	blocks  []*Block
+}
+
+// emptyView stands in for a shard nothing was ever inserted into.
+var emptyView shardView
+
+// regShard is one slice of the registry.
 type regShard struct {
-	// mu guards this shard's trees. Shards are locked one at a time, never
-	// nested, so all shards can share the treeMu level of the hierarchy.
+	// mu serialises the shard's writers; readers never take it. Shards are
+	// locked one at a time, never nested, so all shards share one level of
+	// the hierarchy.
 	//
-	//adsm:lock treeMu 30
-	mu      sync.RWMutex
-	objects rbTree // Object intervals, host VA order
-	blocks  rbTree // Block intervals: the fault handler's search tree
-	objIdx  spanIndex
-	blkIdx  spanIndex
+	//adsm:lock shardMu 30
+	mu   sync.Mutex
+	view atomic.Pointer[shardView]
+}
+
+// load returns the shard's current view.
+//
+//adsm:noalloc
+func (sh *regShard) load() *shardView {
+	if v := sh.view.Load(); v != nil {
+		return v
+	}
+	return &emptyView
 }
 
 // registry is the sharded object/block registry.
@@ -92,148 +117,209 @@ type registry struct {
 }
 
 // insertObject publishes o (and its blocks) to every shard its address
-// range overlaps. Insert failures can only come from overlapping
+// range overlaps. Insert failures can only come from overlapping or empty
 // intervals — a manager bug, since the VA space never double-allocates —
-// and are returned with the registry partially updated, matching the
-// pre-shard behaviour.
+// and are returned with the shards before the failing one already updated.
 func (r *registry) insertObject(o *Object) error {
+	var blocks [regShards][]*Block
+	for _, b := range o.blocks {
+		mask := regShardMask(b.addr, b.size)
+		for s := range blocks {
+			if mask&(1<<s) != 0 {
+				blocks[s] = append(blocks[s], b)
+			}
+		}
+	}
 	mask := regShardMask(o.addr, o.size)
-	for s := 0; s < regShards; s++ {
+	for s := range r.shards {
 		if mask&(1<<s) == 0 {
 			continue
 		}
 		sh := &r.shards[s]
 		sh.mu.Lock()
-		if err := sh.objects.insert(o.addr, o.size, o); err != nil {
-			sh.mu.Unlock()
+		cur := sh.load()
+		objs, err := withRun(cur.objects, []*Object{o})
+		var blks []*Block
+		if err == nil {
+			blks, err = withRun(cur.blocks, blocks[s])
+		}
+		if err == nil {
+			sh.view.Store(&shardView{objects: objs, blocks: blks})
+		}
+		sh.mu.Unlock()
+		if err != nil {
 			return err
 		}
-		for _, b := range o.blocks {
-			if regShardMask(b.addr, b.size)&(1<<s) == 0 {
-				continue
-			}
-			if err := sh.blocks.insert(b.addr, b.size, b); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-		}
-		sh.objIdx.invalidate()
-		sh.blkIdx.invalidate()
-		sh.mu.Unlock()
 	}
 	r.nobjects.Add(1)
 	return nil
 }
 
-// removeObject withdraws o from every shard it was published to.
+// removeObject withdraws o and its blocks from every shard it was
+// published to.
 func (r *registry) removeObject(o *Object) {
+	hi := o.addr + mem.Addr(o.size)
 	mask := regShardMask(o.addr, o.size)
-	for s := 0; s < regShards; s++ {
+	for s := range r.shards {
 		if mask&(1<<s) == 0 {
 			continue
 		}
 		sh := &r.shards[s]
 		sh.mu.Lock()
-		sh.objects.remove(o.addr)
-		for _, b := range o.blocks {
-			if regShardMask(b.addr, b.size)&(1<<s) == 0 {
-				continue
-			}
-			sh.blocks.remove(b.addr)
-		}
-		sh.objIdx.invalidate()
-		sh.blkIdx.invalidate()
+		cur := sh.load()
+		sh.view.Store(&shardView{
+			objects: without(cur.objects, o.addr, o.addr+1),
+			blocks:  without(cur.blocks, o.addr, hi),
+		})
 		sh.mu.Unlock()
 	}
 	r.nobjects.Add(-1)
 }
 
-// objectAt returns the object containing addr, or nil: the lock-free
-// snapshot search of addr's shard, with the single-flight rebuild slow
-// path behind it.
+// objectAt returns the object containing addr, or nil.
 //
 //adsm:noalloc
 func (r *registry) objectAt(addr mem.Addr) *Object {
-	sh := &r.shards[regShardOf(addr)]
-	v, _, ok := sh.objIdx.search(addr)
-	if !ok {
-		v, _ = sh.rebuildObj(addr)
-	}
-	if v == nil {
-		return nil
-	}
-	return v.(*Object)
+	return findObject(r.shards[regShardOf(addr)].load().objects, addr)
 }
 
-// blockAt resolves the fault handler's block lookup against addr's shard:
-// the payload containing addr (nil if unshared) and the probe count
-// charged as §5.2 search cost.
+// blockAt resolves the fault handler's block lookup: the block containing
+// addr (nil if unshared) and the probe count charged as §5.2 search cost.
 //
 //adsm:noalloc
-func (r *registry) blockAt(addr mem.Addr) (any, int64) {
-	sh := &r.shards[regShardOf(addr)]
-	if v, probes, ok := sh.blkIdx.search(addr); ok {
-		return v, probes
-	}
-	return sh.rebuildBlk(addr)
-}
-
-// rebuildObj refreshes the shard's object snapshot under its read lock and
-// resolves addr against it. The rebuilt snapshot allocation is amortized
-// over a whole registry generation of lock-free lookups.
-//
-//adsm:cold
-func (sh *regShard) rebuildObj(addr mem.Addr) (any, int64) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.objIdx.rebuild(&sh.objects, sh.objIdx.gen.Load(), addr)
-}
-
-// rebuildBlk is rebuildObj for the block index.
-//
-//adsm:cold
-func (sh *regShard) rebuildBlk(addr mem.Addr) (any, int64) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.blkIdx.rebuild(&sh.blocks, sh.blkIdx.gen.Load(), addr)
-}
-
-// blockLookup answers the invariant checker's exact-tree probe: the block
-// tree payload at addr, read under the owning shard's lock (bypassing the
-// snapshots, so tree/snapshot divergence is detectable).
-func (r *registry) blockLookup(addr mem.Addr) any {
-	sh := &r.shards[regShardOf(addr)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.blocks.lookup(addr)
+func (r *registry) blockAt(addr mem.Addr) (*Block, int64) {
+	return findBlock(r.shards[regShardOf(addr)].load().blocks, addr)
 }
 
 // snapshot returns the live objects in address order. Each object is
 // collected from its home shard only (the shard of its start address), so
-// multi-shard objects appear exactly once without a dedup map; the final
-// sort restores the global address order a single tree walk used to give.
+// multi-shard objects appear exactly once; the final sort restores the
+// global address order.
 func (r *registry) snapshot() []*Object {
 	objs := make([]*Object, 0, r.nobjects.Load())
 	for s := range r.shards {
-		sh := &r.shards[s]
-		sh.mu.RLock()
-		sh.objects.each(func(a mem.Addr, _ int64, v any) {
-			if regShardOf(a) == s {
-				objs = append(objs, v.(*Object))
+		for _, o := range r.shards[s].load().objects {
+			if regShardOf(o.addr) == s {
+				objs = append(objs, o)
 			}
-		})
-		sh.mu.RUnlock()
+		}
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].addr < objs[j].addr })
 	return objs
 }
 
-// rebuilds sums the published-snapshot count across shards (the
-// rebuild-storm regression test's observable).
-func (r *registry) rebuilds() int64 {
-	var n int64
-	for s := range r.shards {
-		n += r.shards[s].objIdx.rebuilds.Load() + r.shards[s].blkIdx.rebuilds.Load()
+// interval is what a shard array holds: an object or a block, covering
+// [Addr(), Addr()+Size()).
+type interval interface {
+	*Object | *Block
+	Addr() mem.Addr
+	Size() int64
+}
+
+// findObject binary-searches the sorted array s for the object containing
+// addr, or nil.
+//
+//adsm:noalloc
+func findObject(s []*Object, addr mem.Addr) *Object {
+	for lo, hi := 0, len(s); lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		switch o := s[mid]; {
+		case addr < o.addr:
+			hi = mid
+		case addr >= o.addr+mem.Addr(o.size):
+			lo = mid + 1
+		default:
+			return o
+		}
 	}
-	return n
+	return nil
+}
+
+// findBlock binary-searches the sorted array s for the block containing
+// addr (nil if none) and returns it with the number of probes. It repeats
+// findObject's loop rather than sharing a generic one: type-parameter
+// method calls go through a dictionary, which tripled the lookup's cost.
+//
+//adsm:noalloc
+func findBlock(s []*Block, addr mem.Addr) (*Block, int64) {
+	probes := int64(0)
+	for lo, hi := 0, len(s); lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		probes++
+		switch b := s[mid]; {
+		case addr < b.addr:
+			hi = mid
+		case addr >= b.addr+mem.Addr(b.size):
+			lo = mid + 1
+		default:
+			return b, probes
+		}
+	}
+	return nil, max(probes, 1) // even an empty shard costs one probe to miss
+}
+
+// withRun returns the sorted array s with the sorted run added. Every
+// entry must be non-empty and disjoint from the others. When the run sorts
+// after the last entry of s it is appended, sharing s's backing array:
+// holders of s never index past its length, so they cannot observe the
+// new tail. Otherwise the result is a fresh merged copy.
+func withRun[T interval](s, run []T) ([]T, error) {
+	for i, e := range run {
+		if e.Size() <= 0 {
+			return nil, fmt.Errorf("core: invalid interval size %d", e.Size())
+		}
+		if i > 0 {
+			if err := ordered(run[i-1], e); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if len(run) == 0 {
+		return s, nil
+	}
+	if len(s) == 0 || end(s[len(s)-1]) <= run[0].Addr() {
+		return append(s, run...), nil
+	}
+	out := make([]T, 0, len(s)+len(run))
+	i := 0
+	for _, e := range run {
+		for ; i < len(s) && s[i].Addr() < e.Addr(); i++ {
+			out = append(out, s[i])
+		}
+		out = append(out, e)
+	}
+	out = append(out, s[i:]...)
+	for k := 1; k < len(out); k++ {
+		if err := ordered(out[k-1], out[k]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// end returns the first address past e.
+func end[T interval](e T) mem.Addr { return e.Addr() + mem.Addr(e.Size()) }
+
+// ordered reports an error unless b starts at or after the end of a.
+func ordered[T interval](a, b T) error {
+	if b.Addr() < end(a) {
+		return fmt.Errorf("core: interval [%#x,+%d) overlaps [%#x,+%d)",
+			uint64(b.Addr()), b.Size(), uint64(a.Addr()), a.Size())
+	}
+	return nil
+}
+
+// without returns s minus the entries starting in [lo, hi), as a fresh
+// copy (s itself if nothing matches).
+func without[T interval](s []T, lo, hi mem.Addr) []T {
+	i := sort.Search(len(s), func(i int) bool { return s[i].Addr() >= lo })
+	j := i
+	for j < len(s) && s[j].Addr() < hi {
+		j++
+	}
+	if i == j {
+		return s
+	}
+	out := make([]T, 0, len(s)-(j-i))
+	return append(append(out, s[:i]...), s[j:]...)
 }

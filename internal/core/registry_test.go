@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -81,6 +82,18 @@ func TestRegistryConcurrentLanes(t *testing.T) {
 			for i := 1; i < objs; i += 2 {
 				reg.removeObject(mine[i])
 			}
+			// Free-and-reinsert into a hole: the new interval sorts before
+			// the shard's last entry, so the insert takes the copy path
+			// rather than the append path.
+			hole := &Object{addr: mine[1].addr, size: objSize}
+			if err := reg.insertObject(hole); err != nil {
+				t.Errorf("lane %d reinsert into hole: %v", l, err)
+				return
+			}
+			if got := reg.objectAt(hole.addr + objSize/2); got != hole {
+				t.Errorf("lane %d: objectAt(hole) = %v, want %v", l, got, hole)
+			}
+			reg.removeObject(hole)
 		}(l)
 	}
 	wg.Wait()
@@ -101,50 +114,133 @@ func TestRegistryConcurrentLanes(t *testing.T) {
 	}
 }
 
-// TestIndexRebuildStorm is the regression test for unbounded snapshot
-// rebuilds: before the single-flight generation backoff, every goroutine
-// that lost the publish race rebuilt the whole snapshot again, so a lookup
-// storm after an Alloc caused O(goroutines × lookups) rebuilds. Now at most
-// one rebuild per (shard, index, generation) publishes; losers fall back to
-// a direct tree search of that one lookup.
-func TestIndexRebuildStorm(t *testing.T) {
-	r := newRig(t, defaultCfg(RollingUpdate))
-	const nObjs = 8
-	ptrs := make([]mem.Addr, nObjs)
-	for i := range ptrs {
-		p, err := r.mgr.Alloc(1 << 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ptrs[i] = p
+// TestIntervalArray covers the shard array helpers the registry is built
+// from, one behaviour per case: withRun inserts (rejecting overlapping and
+// empty intervals), without removes by exact start address, the arrays
+// stay in address order, and findBlock charges the §5.2 probe count while
+// findObject agrees with it. Each interval is a single-block object.
+func TestIntervalArray(t *testing.T) {
+	type iv struct {
+		addr mem.Addr
+		size int64
+		bad  bool // the insert must be rejected
 	}
-	before := r.mgr.IndexRebuilds()
-	const lanes, lookups = 16, 200
-	var wg sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			buf := make([]byte, 1)
-			for i := 0; i < lookups; i++ {
-				p := ptrs[(l+i)%nObjs]
-				if err := r.mgr.HostWrite(p+mem.Addr(i%(1<<20)), buf); err != nil {
-					t.Error(err)
-					return
+	pages := func(n int) []iv {
+		out := make([]iv, n)
+		for i := range out {
+			out[i] = iv{addr: mem.Addr(i) * 0x1000, size: 0x1000}
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		insert []iv       // applied in order
+		remove []mem.Addr // exact-start removes, applied after the inserts
+		want   []mem.Addr // resulting interval starts; nil skips the check
+		find   mem.Addr
+		hit    bool // find lands in the interval starting at hitAt
+		hitAt  mem.Addr
+		probes int64
+	}{
+		{
+			name: "overlap rejected",
+			insert: []iv{
+				{addr: 0x1000, size: 0x1000},
+				{addr: 0x1800, size: 0x100, bad: true},  // inside
+				{addr: 0x0800, size: 0x1000, bad: true}, // straddles start
+				{addr: 0x1fff, size: 0x10, bad: true},   // straddles end
+				{addr: 0x1000, size: 0x1000, bad: true}, // exact duplicate
+				{addr: 0x2000, size: 0x100},             // adjacent after
+				{addr: 0x0f00, size: 0x100},             // adjacent before
+			},
+			want: []mem.Addr{0x0f00, 0x1000, 0x2000},
+			find: 0x1fff, hit: true, hitAt: 0x1000, probes: 1,
+		},
+		{
+			name:   "invalid size",
+			insert: []iv{{addr: 0x1000, size: 0, bad: true}},
+			want:   []mem.Addr{},
+			find:   0x1000, probes: 1,
+		},
+		{
+			name:   "one past the end misses",
+			insert: []iv{{addr: 0x1000, size: 0x100}},
+			find:   0x1100, probes: 1,
+		},
+		{
+			name:   "exact-start remove",
+			insert: []iv{{addr: 0x1000, size: 0x100}, {addr: 0x2000, size: 0x100}},
+			remove: []mem.Addr{0x2080, 0x1000, 0x1000}, // interior address, then twice
+			want:   []mem.Addr{0x2000},
+			find:   0x1050, probes: 1,
+		},
+		{
+			name: "address order",
+			insert: []iv{
+				{addr: 0x5000, size: 0x100}, {addr: 0x1000, size: 0x100}, {addr: 0x3000, size: 0x100},
+				{addr: 0x2000, size: 0x100}, {addr: 0x4000, size: 0x100},
+			},
+			want: []mem.Addr{0x1000, 0x2000, 0x3000, 0x4000, 0x5000},
+			find: 0x4080, hit: true, hitAt: 0x4000, probes: 3,
+		},
+		{
+			// The first entry of 1024 is the deepest hit: log2(1024)+1 probes.
+			name:   "probes on a hit",
+			insert: pages(1024),
+			find:   0x500, hit: true, hitAt: 0, probes: 11,
+		},
+		{
+			name:   "probes on a miss",
+			insert: pages(1024),
+			find:   0x1000_0000, probes: 10,
+		},
+		{
+			name: "probes on an empty miss",
+			want: []mem.Addr{},
+			find: 0, probes: 1,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var objs []*Object
+			var blks []*Block
+			for _, in := range c.insert {
+				o := &Object{addr: in.addr, size: in.size}
+				nextO, errO := withRun(objs, []*Object{o})
+				nextB, errB := withRun(blks, []*Block{{obj: o, addr: in.addr, size: in.size}})
+				if (errO != nil) != in.bad || (errB != nil) != in.bad {
+					t.Fatalf("insert [%#x,+%d): err = %v/%v, want rejected %v",
+						uint64(in.addr), in.size, errO, errB, in.bad)
+				}
+				if !in.bad {
+					objs, blks = nextO, nextB
 				}
 			}
-		}(l)
-	}
-	wg.Wait()
-	// The allocations above invalidated each touched shard's two indexes
-	// once; the storm may rebuild each at most once per generation. With
-	// no churn during the storm, the ceiling is one rebuild per index per
-	// shard — not per goroutine, not per lookup.
-	delta := r.mgr.IndexRebuilds() - before
-	if max := int64(2 * regShards); delta > max {
-		t.Fatalf("lookup storm caused %d snapshot rebuilds, want <= %d", delta, max)
-	}
-	if delta == 0 {
-		t.Fatal("storm hit no rebuild at all; test is not exercising the slow path")
+			for _, a := range c.remove {
+				objs, blks = without(objs, a, a+1), without(blks, a, a+1)
+			}
+			if c.want != nil {
+				got := make([]mem.Addr, len(blks))
+				for i, b := range blks {
+					got[i] = b.addr
+				}
+				if !slices.Equal(got, c.want) {
+					t.Fatalf("starts = %#x, want %#x", got, c.want)
+				}
+			}
+			b, probes := findBlock(blks, c.find)
+			switch {
+			case c.hit && (b == nil || b.addr != c.hitAt):
+				t.Fatalf("findBlock(%#x) = %v, want the interval at %#x", uint64(c.find), b, uint64(c.hitAt))
+			case !c.hit && b != nil:
+				t.Fatalf("findBlock(%#x) = [%#x,+%d), want a miss", uint64(c.find), uint64(b.addr), b.size)
+			}
+			if probes != c.probes {
+				t.Fatalf("findBlock(%#x) charged %d probes, want %d", uint64(c.find), probes, c.probes)
+			}
+			if o := findObject(objs, c.find); (b == nil && o != nil) || (b != nil && o != b.obj) {
+				t.Fatalf("findObject(%#x) = %v, findBlock found %v", uint64(c.find), o, b)
+			}
+		})
 	}
 }

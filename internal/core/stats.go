@@ -29,8 +29,8 @@ type Stats struct {
 	// overlap with CPU work and delays the kernel instead.
 	H2DDrain sim.Time
 
-	// SearchTime is the virtual time spent walking the block tree in the
-	// fault handler (the dominant small-block overhead in Figure 11).
+	// SearchTime is the virtual time spent searching the block registry in
+	// the fault handler (the dominant small-block overhead in Figure 11).
 	SearchTime sim.Time
 
 	// Peer-DMA traffic: bytes moved directly between I/O devices and
