@@ -13,8 +13,8 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Static analysis: the standard go vet suite, then adsmvet — the ADSM
-# multichecker (allowcheck, coherence, lanepair, lockorder, modecheck,
-# noalloc, statecase; see docs/static-analysis.md) — driven through
+# multichecker (allowcheck, coherence, lockorder, modecheck, noalloc,
+# statecase; see docs/static-analysis.md) — driven through
 # `go vet -vettool` so every package, its _test.go files, and the cmd/
 # mains are analyzed, and results land in the build cache (keyed on the
 # tool's -V=full version, which folds in the Go toolchain version, so a
@@ -62,12 +62,15 @@ bench-contended:
 
 # The conformance half of the bench gate, under the race detector:
 # batched runs byte-identical to the unbatched oracle on every workload,
-# replay round trip, and the sharded registry/MMU lane stress.
+# replay round trip, the sharded registry/MMU lane stress, and lane
+# determinism (each lane's op stream and the virtual time independent of
+# scheduling).
 bench-conformance:
 	$(GO) test -race -count=1 -run 'Batching' ./internal/workloads
 	$(GO) test -race -count=1 \
 		-run 'TestRegistryConcurrentLanes|TestIntervalArray|TestRegShardMask|TestMMUConcurrentLanes|SpanFaultBatching' \
 		./internal/core ./internal/hostmmu
+	$(GO) test -race -count=1 -run 'TestInLanesDeterministic' ./gmac
 
 # The benchmark-regression gate: re-run the micro + figure suites and
 # compare against the committed baseline (see docs/performance.md).
@@ -78,9 +81,11 @@ bench-gate:
 baseline:
 	$(GO) run ./cmd/gmacbench -small -benchtime 0.5s -baseline BENCH_PR9.json
 
-# Fast end-to-end sanity: one small figure run with the JSON summary.
+# Fast end-to-end sanity: one small figure run with the JSON summary, and
+# the host-lanes CLI path (two workers on two lanes).
 smoke:
 	$(GO) run ./cmd/gmacbench -small -json /tmp/gmacbench-smoke.json fig8
+	$(GO) run ./cmd/gmacbench -small -hostthreads 2
 
 # Native fuzzing of the registry arrays, the manager op stream, the oplog
 # wire decoder, and the race analyser, FUZZTIME per target (see

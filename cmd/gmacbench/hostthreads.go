@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/gmac"
@@ -22,15 +21,15 @@ import (
 //
 // The headline metric is simulated throughput: faults serviced per second
 // of virtual time. The total amount of work is fixed across thread counts.
-// Each worker goroutine runs in its own virtual-time lane (sim.Clock
-// EnterLane), modelling one hardware thread of the paper's 4-core host:
-// its signal handling, mprotect calls and DMA stalls accumulate privately
-// and merge max-wise at the end, while its block transfers run on its own
-// device's PCIe link. With N threads the N independent fault storms
-// therefore overlap in virtual time; with one thread the same work
-// serialises on one timeline and one link. Wall-clock throughput is
-// printed too, but on a single-core runner it shows scheduler overhead,
-// not parallelism.
+// Each worker is one MultiContext.InLanes lane, modelling one hardware
+// thread of the paper's 4-core host: its signal handling, mprotect calls
+// and DMA stalls accumulate on its lane and merge max-wise at the end,
+// while its block transfers run on its own device's PCIe link. With N
+// threads the N independent fault storms therefore overlap in virtual
+// time; with one thread the same work serialises on one timeline and one
+// link. Wall-clock throughput is printed too: it is the simulator's own
+// cost of servicing the storm, and grows with N only as far as the host
+// has cores to run the lanes' goroutines on.
 func runHostThreads(threads int, small bool) error {
 	if threads < 1 {
 		return fmt.Errorf("hostthreads: need at least 1 thread, got %d", threads)
@@ -106,48 +105,40 @@ func runHostThreads(threads int, small bool) error {
 	virtBefore := m.Elapsed()
 	start := time.Now()
 
-	var wg sync.WaitGroup
 	errs := make([]error, threads)
-	base := m.Clock.Now()
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w worker) {
-			defer wg.Done()
-			// Each worker models one host hardware thread: its CPU and
-			// DMA-stall charges accumulate on a private timeline and merge
-			// back max-wise at exit, so independent fault storms overlap in
-			// virtual time exactly as they would on the paper's 4-core host.
-			m.Clock.EnterLaneAt(base)
-			defer m.Clock.ExitLane()
-			one := []byte{1}
-			buf := make([]byte, 1)
-			for r := 0; r < totalRounds/threads; r++ {
-				for b := int64(0); b < blocks; b++ {
-					// Write fault per block: Invalid/ReadOnly -> Dirty,
-					// with rolling-cache eviction traffic underneath.
-					if err := mc.HostWrite(w.obj+gmac.Ptr(b*blockSize+4), one); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-				// Release + launch + acquire on this worker's device only:
-				// flushes the dirty blocks and invalidates them for the
-				// next round's read faults.
-				if err := mc.Call(w.kernel, []uint64{uint64(w.obj)}); err != nil {
+	// Each worker models one host hardware thread: its CPU and DMA-stall
+	// charges accumulate on its lane and merge back max-wise at the end,
+	// so independent fault storms overlap in virtual time exactly as they
+	// would on the paper's 4-core host.
+	mc.InLanes(threads, func(i int, l *gmac.Lane) {
+		w := workers[i]
+		one := []byte{1}
+		buf := make([]byte, 1)
+		for r := 0; r < totalRounds/threads; r++ {
+			for b := int64(0); b < blocks; b++ {
+				// Write fault per block: Invalid/ReadOnly -> Dirty,
+				// with rolling-cache eviction traffic underneath.
+				if err := l.HostWrite(w.obj+gmac.Ptr(b*blockSize+4), one); err != nil {
 					errs[i] = err
 					return
 				}
-				for b := int64(0); b < blocks; b++ {
-					// Read fault per block: Invalid -> ReadOnly fetch.
-					if err := mc.HostRead(w.obj+gmac.Ptr(b*blockSize), buf); err != nil {
-						errs[i] = err
-						return
-					}
+			}
+			// Release + launch + acquire on this worker's device only:
+			// flushes the dirty blocks and invalidates them for the
+			// next round's read faults.
+			if err := l.Call(w.kernel, []uint64{uint64(w.obj)}); err != nil {
+				errs[i] = err
+				return
+			}
+			for b := int64(0); b < blocks; b++ {
+				// Read fault per block: Invalid -> ReadOnly fetch.
+				if err := l.HostRead(w.obj+gmac.Ptr(b*blockSize), buf); err != nil {
+					errs[i] = err
+					return
 				}
 			}
-		}(i, w)
-	}
-	wg.Wait()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

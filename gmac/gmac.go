@@ -181,7 +181,11 @@ func NewContext(m *machine.Machine, cfg Config) (*Context, error) {
 		return nil, err
 	}
 	c := &Context{mgr: mgr, dev: m.Device()}
-	c.sessionCore = sessionCore{m: m, owner: func(Ptr) *core.Manager { return mgr }}
+	c.sessionCore = sessionCore{
+		m:     m,
+		owner: func(Ptr) *core.Manager { return mgr },
+		route: func(_ string, args []uint64) (*core.Manager, []uint64, error) { return mgr, args, nil },
+	}
 	return c, nil
 }
 
@@ -231,16 +235,6 @@ func (c *Context) Alloc(size int64, opts ...AllocOption) (Ptr, error) {
 		Safe:    o.safe,
 		Kernels: o.kernels,
 	})
-}
-
-// Call implements adsmCall followed by adsmSync: it releases shared
-// objects (per the active protocol), launches the kernel, and — unless the
-// Async option is given — waits for completion and re-acquires shared
-// objects for the CPU. The Writes option supplies the §4.3 write-set
-// annotation; ReadOnlyHint and WriteOnlyHint override objects' declared
-// access modes for this call.
-func (c *Context) Call(kernel string, args []uint64, opts ...CallOption) error {
-	return call(c.mgr, kernel, args, opts)
 }
 
 // Sync implements adsmSync: it blocks until the accelerator finishes and

@@ -3,7 +3,6 @@ package gmac
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -45,7 +44,7 @@ func NewMultiContext(m *machine.Machine, cfg Config) (*MultiContext, error) {
 		}
 		mc.mgrs = append(mc.mgrs, mgr)
 	}
-	mc.sessionCore = sessionCore{m: m, owner: mc.ownerOf}
+	mc.sessionCore = sessionCore{m: m, owner: mc.ownerOf, route: mc.route}
 	// Each NewManager installed itself as the MMU handler; replace with a
 	// dispatcher that routes by owning object.
 	m.MMU.SetHandler(func(f hostmmu.Fault) error {
@@ -129,12 +128,11 @@ func (mc *MultiContext) Identity(p Ptr) bool {
 	return err == nil && dv == p
 }
 
-// Call routes the kernel to the device hosting its first shared pointer
-// argument (data-affinity placement), performs that device's release
-// actions and — unless Async is given — waits for it and re-acquires that
-// device's objects. All shared pointer arguments must live on the same
-// device: ADSM kernels can only reach their own accelerator's memory.
-func (mc *MultiContext) Call(kernel string, args []uint64, opts ...CallOption) error {
+// route sends a kernel call to the device hosting its first shared pointer
+// argument (data-affinity placement) and translates safe pointers for that
+// device. All shared pointer arguments must live on the same device: ADSM
+// kernels can only reach their own accelerator's memory.
+func (mc *MultiContext) route(kernel string, args []uint64) (*core.Manager, []uint64, error) {
 	var target *core.Manager
 	for _, a := range args {
 		mgr := mc.ownerOf(Ptr(a))
@@ -144,12 +142,12 @@ func (mc *MultiContext) Call(kernel string, args []uint64, opts ...CallOption) e
 		if target == nil {
 			target = mgr
 		} else if target != mgr {
-			return fmt.Errorf("gmac: kernel %s arguments span devices %s and %s",
+			return nil, nil, fmt.Errorf("gmac: kernel %s arguments span devices %s and %s",
 				kernel, target.Device().Name(), mgr.Device().Name())
 		}
 	}
 	if target == nil {
-		return fmt.Errorf("gmac: kernel %s has no shared-object argument to route by", kernel)
+		return nil, nil, fmt.Errorf("gmac: kernel %s has no shared-object argument to route by", kernel)
 	}
 	// Translate safe pointers for the device.
 	devArgs := make([]uint64, len(args))
@@ -157,39 +155,27 @@ func (mc *MultiContext) Call(kernel string, args []uint64, opts ...CallOption) e
 		if mgr := mc.ownerOf(Ptr(a)); mgr == target {
 			dv, err := mgr.Translate(Ptr(a))
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			devArgs[i] = uint64(dv)
 			continue
 		}
 		devArgs[i] = a
 	}
-	return call(target, kernel, devArgs, opts)
+	return target, devArgs, nil
 }
 
 // Sync waits for every device and runs each manager's acquire actions. The
-// fan-out is concurrent, and each goroutine runs in its own virtual-time
-// lane seeded at the call time, so one device's DMA drain overlaps
-// another's kernel tail in virtual time instead of serialising behind it.
-// The caller's timeline then advances to the slowest device.
+// fan-out is concurrent, and device i's wait runs on virtual-time lane i+1
+// seeded at the call time, so one device's DMA drain overlaps another's
+// kernel tail in virtual time instead of serialising behind it. The
+// session's clock then advances to the slowest device.
 func (mc *MultiContext) Sync() error {
 	errs := make([]error, len(mc.mgrs))
-	ends := make([]sim.Time, len(mc.mgrs))
-	base := mc.m.Clock.Now()
-	var wg sync.WaitGroup
-	for i, mgr := range mc.mgrs {
-		wg.Add(1)
-		go func(i int, mgr *core.Manager) {
-			defer wg.Done()
-			mc.m.Clock.EnterLaneAt(base)
-			errs[i] = mgr.Sync()
-			ends[i] = mc.m.Clock.ExitLane()
-		}(i, mgr)
-	}
-	wg.Wait()
-	for _, t := range ends {
-		mc.m.Clock.AdvanceTo(t)
-	}
+	clock := mc.m.Clock
+	clock.InLanes(clock.Now(), len(mc.mgrs), func(i int, l *sim.Lane) {
+		errs[i] = mc.mgrs[i].SyncOn(l)
+	})
 	return errors.Join(errs...)
 }
 

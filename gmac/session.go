@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hostmmu"
 	"repro/internal/osabs"
+	"repro/internal/sim"
 	"repro/machine"
 )
 
@@ -84,6 +85,9 @@ type Session interface {
 	// LostDevices returns how many of the session's accelerators have been
 	// declared lost.
 	LostDevices() int
+	// InLanes runs fn on n host hardware threads in parallel, each with
+	// its own Lane, and returns once all have finished.
+	InLanes(n int, fn func(i int, l *Lane))
 }
 
 // Compile-time checks that both session types implement Session.
@@ -197,27 +201,6 @@ func Async() CallOption {
 	return func(o *callOptions) { o.async = true }
 }
 
-// call launches kernel on mgr with the resolved options. Without Async the
-// launch and the acquire run as one core.Manager.Call, so a concurrent
-// Call on the same manager cannot slip between them and retarget the
-// acquire to its own kernel's objects.
-func call(mgr *core.Manager, kernel string, args []uint64, opts []CallOption) error {
-	var o callOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	h := core.CallHints{
-		Writes:    o.writes,
-		Annotated: o.annotate,
-		ReadOnly:  o.ro,
-		WriteOnly: o.wo,
-	}
-	if o.async {
-		return mgr.InvokeHinted(kernel, h, args...)
-	}
-	return mgr.Call(kernel, h, args...)
-}
-
 // Region is a held regional acquire scope (the regional-consistency
 // narrowing of Sync): between Session.Region and Release, the host copies
 // of the scoped objects are valid and everything outside the scope is
@@ -277,10 +260,89 @@ func (s *sessionCore) Region(ptrs ...Ptr) (*Region, error) {
 
 // sessionCore implements the pointer-routed half of Session once for both
 // concrete types: owner resolves the manager hosting a pointer (Context
-// returns its only manager; MultiContext searches its managers).
+// returns its only manager; MultiContext searches its managers), and route
+// picks the manager a kernel call runs on and translates its arguments for
+// that device.
 type sessionCore struct {
 	m     *machine.Machine
 	owner func(p Ptr) *core.Manager
+	route func(kernel string, args []uint64) (*core.Manager, []uint64, error)
+}
+
+// Call implements adsmCall followed by adsmSync: it releases shared
+// objects (per the active protocol), launches the kernel, and — unless the
+// Async option is given — waits for completion and re-acquires shared
+// objects for the CPU. The Writes option supplies the §4.3 write-set
+// annotation; ReadOnlyHint and WriteOnlyHint override objects' declared
+// access modes for this call. A multi-device session routes the call to
+// the device hosting its shared pointer arguments.
+func (s *sessionCore) Call(kernel string, args []uint64, opts ...CallOption) error {
+	return s.callOn(nil, kernel, args, opts)
+}
+
+// callOn is Call issued from host lane l (nil for the shared timeline).
+// Without Async the launch and the acquire run as one core.Manager.Call, so
+// a concurrent Call on the same manager cannot slip between them and
+// retarget the acquire to its own kernel's objects.
+func (s *sessionCore) callOn(l *sim.Lane, kernel string, args []uint64, opts []CallOption) error {
+	mgr, devArgs, err := s.route(kernel, args)
+	if err != nil {
+		return err
+	}
+	var o callOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	h := core.CallHints{
+		Writes:    o.writes,
+		Annotated: o.annotate,
+		ReadOnly:  o.ro,
+		WriteOnly: o.wo,
+	}
+	if o.async {
+		return mgr.InvokeOn(l, kernel, h, devArgs...)
+	}
+	return mgr.CallOn(l, kernel, h, devArgs...)
+}
+
+// InLanes runs fn(i, lane) for i in [0, n) on n goroutines, each one host
+// hardware thread of the paper's multi-core host with its own virtual-time
+// lane seeded at the current time. The faults, DMA stalls and kernel calls
+// a worker makes through its Lane accumulate on that lane, so independent
+// workers overlap in virtual time; when all have finished, the session's
+// clock advances to the slowest. Worker i runs on lane i+1, so recorded op
+// streams attribute work to the same lane in every run.
+func (s *sessionCore) InLanes(n int, fn func(i int, l *Lane)) {
+	clock := s.m.Clock
+	clock.InLanes(clock.Now(), n, func(i int, l *sim.Lane) {
+		fn(i, &Lane{s: s, l: l})
+	})
+}
+
+// Lane is a session as seen by one InLanes worker: host accesses and kernel
+// calls made through it are charged to the worker's lane. It is valid only
+// inside the worker it was handed to. Everything else (allocation, views,
+// bulk copies, I/O, Sync) goes through the session itself and runs on the
+// shared timeline.
+type Lane struct {
+	s *sessionCore
+	l *sim.Lane
+}
+
+// ID returns the lane's identity: worker i's lane is i+1. Recorded ops
+// carry it in their Lane field.
+func (ln *Lane) ID() uint32 { return ln.l.ID() }
+
+// HostRead is Session.HostRead on this lane.
+func (ln *Lane) HostRead(p Ptr, dst []byte) error { return ln.s.hostRead(ln.l, p, dst) }
+
+// HostWrite is Session.HostWrite on this lane.
+func (ln *Lane) HostWrite(p Ptr, src []byte) error { return ln.s.hostWrite(ln.l, p, src) }
+
+// Call is Session.Call on this lane: the release sweep, launch and (unless
+// Async) the device wait and acquire are charged to the lane.
+func (ln *Lane) Call(kernel string, args []uint64, opts ...CallOption) error {
+	return ln.s.callOn(ln.l, kernel, args, opts)
 }
 
 // Machine returns the underlying simulated machine.
@@ -314,21 +376,25 @@ func (s *sessionCore) Free(p Ptr) error {
 
 // HostWrite writes src to shared memory through the normal faulting CPU
 // path (a plain assignment in application code).
-func (s *sessionCore) HostWrite(p Ptr, src []byte) error {
+func (s *sessionCore) HostWrite(p Ptr, src []byte) error { return s.hostWrite(nil, p, src) }
+
+func (s *sessionCore) hostWrite(l *sim.Lane, p Ptr, src []byte) error {
 	mgr := s.owner(p)
 	if mgr == nil {
 		return fmt.Errorf("gmac: write to unshared %#x", uint64(p))
 	}
-	return mgr.HostWrite(p, src)
+	return mgr.HostWriteOn(l, p, src)
 }
 
 // HostRead reads shared memory through the normal faulting CPU path.
-func (s *sessionCore) HostRead(p Ptr, dst []byte) error {
+func (s *sessionCore) HostRead(p Ptr, dst []byte) error { return s.hostRead(nil, p, dst) }
+
+func (s *sessionCore) hostRead(l *sim.Lane, p Ptr, dst []byte) error {
 	mgr := s.owner(p)
 	if mgr == nil {
 		return fmt.Errorf("gmac: read from unshared %#x", uint64(p))
 	}
-	return mgr.HostRead(p, dst)
+	return mgr.HostReadOn(l, p, dst)
 }
 
 // MemcpyToShared copies a host buffer into shared memory using the

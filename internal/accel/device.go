@@ -252,8 +252,8 @@ func (d *Device) noteFault(err error, dma bool) {
 // launchFault consults the injector for a kernel launch. It must run
 // BEFORE the kernel body (the simulator executes bodies at launch time):
 // a faulted launch never mutates device memory. Timeout faults charge
-// their delay to the host clock before surfacing.
-func (d *Device) launchFault() error {
+// their delay to host lane l before surfacing.
+func (d *Device) launchFault(l *sim.Lane) error {
 	if err := d.checkLost(); err != nil {
 		return err
 	}
@@ -266,7 +266,7 @@ func (d *Device) launchFault() error {
 	}
 	var fe *fault.Error
 	if errors.As(err, &fe) && fe.Delay > 0 {
-		d.clock.Advance(fe.Delay)
+		d.clock.AdvanceOn(l, fe.Delay)
 	}
 	d.noteFault(err, false)
 	return fmt.Errorf("accel %s: launch: %w", d.cfg.Name, err)
@@ -277,12 +277,12 @@ func (d *Device) launchFault() error {
 // to fully overwrite it show up as byte mismatches in the chaos oracle.
 const corruptPattern = 0xDB
 
-// memcpyH2DAsyncAt lands an H2D copy whose link duration has already been
-// computed (and booked) by the caller.
-func (d *Device) memcpyH2DAsyncAt(dst mem.Addr, src []byte, dur sim.Time) sim.Completion {
+// memcpyH2DAsyncAt lands an H2D copy, issued from host lane l, whose link
+// duration has already been computed (and booked) by the caller.
+func (d *Device) memcpyH2DAsyncAt(l *sim.Lane, dst mem.Addr, src []byte, dur sim.Time) sim.Completion {
 	d.mu.Lock()
 	d.memory.Write(dst, src)
-	done := d.dmaH2D.SubmitNow(dur)
+	done := d.dmaH2D.SubmitNow(l, dur)
 	d.stats.BytesH2D += int64(len(src))
 	d.stats.CopiesH2D++
 	d.pending = sim.MaxCompletion(d.pending, done)
@@ -296,25 +296,26 @@ func (d *Device) memcpyH2DAsyncAt(dst mem.Addr, src []byte, dur sim.Time) sim.Co
 // host. Data moves immediately (the simulation is sequential), but the
 // virtual completion time respects DMA queueing and link bandwidth.
 func (d *Device) MemcpyH2DAsync(dst mem.Addr, src []byte) sim.Completion {
-	return d.memcpyH2DAsyncAt(dst, src, d.cfg.H2D.TransferTime(int64(len(src))))
+	return d.memcpyH2DAsyncAt(nil, dst, src, d.cfg.H2D.TransferTime(int64(len(src))))
 }
 
-// TryMemcpyH2DAsync is the fault-aware MemcpyH2DAsync. On an injected
-// fault the attempt still occupies the DMA engine for its duration
-// (returned in the completion) but no data lands — except under
-// KindCorrupt, which scribbles the destination range — and the error
-// describes the fault. The caller owns retrying. Like TryMemcpyD2HAsync
-// it sits on a //adsm:noalloc path (the eviction flush), so the
-// fault-only branches carry line suppressions or cold helpers.
+// TryMemcpyH2DAsync is the fault-aware MemcpyH2DAsync, issued from host
+// lane l (nil for the shared timeline). On an injected fault the attempt
+// still occupies the DMA engine for its duration (returned in the
+// completion) but no data lands — except under KindCorrupt, which
+// scribbles the destination range — and the error describes the fault.
+// The caller owns retrying. Like TryMemcpyD2HAsync it sits on a
+// //adsm:noalloc path (the eviction flush), so the fault-only branches
+// carry line suppressions or cold helpers.
 //
 //adsm:noalloc
-func (d *Device) TryMemcpyH2DAsync(dst mem.Addr, src []byte) (sim.Completion, error) {
+func (d *Device) TryMemcpyH2DAsync(l *sim.Lane, dst mem.Addr, src []byte) (sim.Completion, error) {
 	if err := d.checkLost(); err != nil {
-		return sim.Completion{At: d.clock.Now()}, err
+		return sim.Completion{At: d.clock.NowOn(l)}, err
 	}
 	dur, ferr := d.cfg.H2D.Transfer(int64(len(src))) //adsm:allow noalloc: Transfer allocates only when injecting a fault or lazily registering its metrics; the steady-state cost model is alloc-free
 	if ferr == nil {
-		return d.memcpyH2DAsyncAt(dst, src, dur), nil
+		return d.memcpyH2DAsyncAt(l, dst, src, dur), nil
 	}
 	d.noteFault(ferr, true)
 	d.mu.Lock()
@@ -326,7 +327,7 @@ func (d *Device) TryMemcpyH2DAsync(dst mem.Addr, src []byte) (sim.Completion, er
 		}
 		d.memory.Write(dst, garbage)
 	}
-	done := d.dmaH2D.SubmitNow(dur)
+	done := d.dmaH2D.SubmitNow(l, dur)
 	d.pending = sim.MaxCompletion(d.pending, done)
 	d.mu.Unlock()
 	return done, d.errH2DCopy(ferr)
@@ -343,23 +344,23 @@ func (d *Device) errH2DCopy(ferr error) error {
 // completes.
 func (d *Device) MemcpyH2D(dst mem.Addr, src []byte) sim.Time {
 	done := d.MemcpyH2DAsync(dst, src)
-	return done.Wait(d.clock)
+	return done.Wait(d.clock, nil)
 }
 
-// TryMemcpyH2D is the fault-aware synchronous H2D copy: the host waits
+// TryMemcpyH2D is the fault-aware synchronous H2D copy: host lane l waits
 // out even a failed attempt (the engine was occupied) before seeing the
 // error.
-func (d *Device) TryMemcpyH2D(dst mem.Addr, src []byte) (sim.Time, error) {
-	done, err := d.TryMemcpyH2DAsync(dst, src)
-	return done.Wait(d.clock), err
+func (d *Device) TryMemcpyH2D(l *sim.Lane, dst mem.Addr, src []byte) (sim.Time, error) {
+	done, err := d.TryMemcpyH2DAsync(l, dst, src)
+	return done.Wait(d.clock, l), err
 }
 
-// memcpyD2HAsyncAt lands a D2H copy whose link duration has already been
-// computed (and booked) by the caller.
-func (d *Device) memcpyD2HAsyncAt(dst []byte, src mem.Addr, dur sim.Time) sim.Completion {
+// memcpyD2HAsyncAt lands a D2H copy, issued from host lane l, whose link
+// duration has already been computed (and booked) by the caller.
+func (d *Device) memcpyD2HAsyncAt(l *sim.Lane, dst []byte, src mem.Addr, dur sim.Time) sim.Completion {
 	d.mu.Lock()
 	d.memory.Read(src, dst)
-	done := d.dmaD2H.SubmitNow(dur)
+	done := d.dmaD2H.SubmitNow(l, dur)
 	d.stats.BytesD2H += int64(len(dst))
 	d.stats.CopiesD2H++
 	d.pending = sim.MaxCompletion(d.pending, done)
@@ -371,23 +372,23 @@ func (d *Device) memcpyD2HAsyncAt(dst []byte, src mem.Addr, dur sim.Time) sim.Co
 
 // MemcpyD2HAsync copies device memory at src into dst without blocking.
 func (d *Device) MemcpyD2HAsync(dst []byte, src mem.Addr) sim.Completion {
-	return d.memcpyD2HAsyncAt(dst, src, d.cfg.D2H.TransferTime(int64(len(dst))))
+	return d.memcpyD2HAsyncAt(nil, dst, src, d.cfg.D2H.TransferTime(int64(len(dst))))
 }
 
-// TryMemcpyD2HAsync is the fault-aware MemcpyD2HAsync; see
-// TryMemcpyH2DAsync for the failure semantics (here KindCorrupt scribbles
-// the host destination buffer). It is on the demand-fetch hot path
-// (fetchBlockSync), so the fault-only branches format through cold
-// helpers.
+// TryMemcpyD2HAsync is the fault-aware MemcpyD2HAsync, issued from host
+// lane l; see TryMemcpyH2DAsync for the failure semantics (here
+// KindCorrupt scribbles the host destination buffer). It is on the
+// demand-fetch hot path (fetchBlockSync), so the fault-only branches
+// format through cold helpers.
 //
 //adsm:noalloc
-func (d *Device) TryMemcpyD2HAsync(dst []byte, src mem.Addr) (sim.Completion, error) {
+func (d *Device) TryMemcpyD2HAsync(l *sim.Lane, dst []byte, src mem.Addr) (sim.Completion, error) {
 	if err := d.checkLost(); err != nil {
-		return sim.Completion{At: d.clock.Now()}, err
+		return sim.Completion{At: d.clock.NowOn(l)}, err
 	}
 	dur, ferr := d.cfg.D2H.Transfer(int64(len(dst))) //adsm:allow noalloc: Transfer allocates only when injecting a fault or lazily registering its metrics; the steady-state cost model is alloc-free
 	if ferr == nil {
-		return d.memcpyD2HAsyncAt(dst, src, dur), nil
+		return d.memcpyD2HAsyncAt(l, dst, src, dur), nil
 	}
 	d.noteFault(ferr, true)
 	var fe *fault.Error
@@ -397,7 +398,7 @@ func (d *Device) TryMemcpyD2HAsync(dst []byte, src mem.Addr) (sim.Completion, er
 		}
 	}
 	d.mu.Lock()
-	done := d.dmaD2H.SubmitNow(dur)
+	done := d.dmaD2H.SubmitNow(l, dur)
 	d.pending = sim.MaxCompletion(d.pending, done)
 	d.mu.Unlock()
 	return done, d.errD2HCopy(ferr)
@@ -413,13 +414,14 @@ func (d *Device) errD2HCopy(ferr error) error {
 // MemcpyD2H is the synchronous variant of MemcpyD2HAsync.
 func (d *Device) MemcpyD2H(dst []byte, src mem.Addr) sim.Time {
 	done := d.MemcpyD2HAsync(dst, src)
-	return done.Wait(d.clock)
+	return done.Wait(d.clock, nil)
 }
 
-// TryMemcpyD2H is the fault-aware synchronous D2H copy.
-func (d *Device) TryMemcpyD2H(dst []byte, src mem.Addr) (sim.Time, error) {
-	done, err := d.TryMemcpyD2HAsync(dst, src)
-	return done.Wait(d.clock), err
+// TryMemcpyD2H is the fault-aware synchronous D2H copy, waited out by host
+// lane l.
+func (d *Device) TryMemcpyD2H(l *sim.Lane, dst []byte, src mem.Addr) (sim.Time, error) {
+	done, err := d.TryMemcpyD2HAsync(l, dst, src)
+	return done.Wait(d.clock, l), err
 }
 
 // MemcpyD2D copies within device memory (cudaMemcpyDeviceToDevice).
@@ -429,7 +431,7 @@ func (d *Device) MemcpyD2D(dst, src mem.Addr, n int64) sim.Completion {
 	d.mu.Lock()
 	d.memory.Read(src, buf)
 	d.memory.Write(dst, buf)
-	done := d.engine.SubmitNow(dur)
+	done := d.engine.SubmitNow(nil, dur)
 	d.pending = sim.MaxCompletion(d.pending, done)
 	d.mu.Unlock()
 	return done
@@ -440,7 +442,7 @@ func (d *Device) Memset(dst mem.Addr, b byte, n int64) sim.Completion {
 	dur := d.cfg.MemLink.TransferTime(n)
 	d.mu.Lock()
 	d.memory.Memset(dst, b, n)
-	done := d.engine.SubmitNow(dur)
+	done := d.engine.SubmitNow(nil, dur)
 	d.pending = sim.MaxCompletion(d.pending, done)
 	d.mu.Unlock()
 	return done
@@ -497,19 +499,25 @@ func (d *Device) Lookup(name string) (*Kernel, bool) {
 // launches serialise on the device — one compute engine — while launches on
 // different devices run in parallel.
 func (d *Device) Launch(name string, args ...uint64) (sim.Completion, error) {
+	return d.LaunchOn(nil, name, args...)
+}
+
+// LaunchOn is Launch issued from host lane l: the launch overhead is
+// charged to l and the kernel starts no earlier than l's time.
+func (d *Device) LaunchOn(l *sim.Lane, name string, args ...uint64) (sim.Completion, error) {
 	k, ok := d.Lookup(name)
 	if !ok {
 		return sim.Completion{}, fmt.Errorf("accel %s: unknown kernel %q", d.cfg.Name, name)
 	}
-	d.clock.Advance(d.cfg.LaunchOverhead)
-	if err := d.launchFault(); err != nil {
-		return sim.Completion{At: d.clock.Now()}, err
+	d.clock.AdvanceOn(l, d.cfg.LaunchOverhead)
+	if err := d.launchFault(l); err != nil {
+		return sim.Completion{At: d.clock.NowOn(l)}, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	k.Run(d.memory, args)
 	dur := k.cost(d, args)
-	done := d.engine.Submit(sim.MaxCompletion(d.pending, sim.Completion{At: d.clock.Now()}).At, dur)
+	done := d.engine.Submit(sim.MaxCompletion(d.pending, sim.Completion{At: d.clock.NowOn(l)}).At, dur)
 	d.stats.Launches++
 	d.stats.KernelTime += dur
 	d.pending = sim.MaxCompletion(d.pending, done)
@@ -526,8 +534,11 @@ func (d *Device) D2HFreeAt() sim.Time { return d.dmaD2H.FreeAt() }
 
 // Synchronize blocks the host until all enqueued device work completes and
 // returns the stall time (cudaThreadSynchronize).
-func (d *Device) Synchronize() sim.Time {
-	return d.Pending().Wait(d.clock)
+func (d *Device) Synchronize() sim.Time { return d.SynchronizeOn(nil) }
+
+// SynchronizeOn is Synchronize stalling host lane l.
+func (d *Device) SynchronizeOn(l *sim.Lane) sim.Time {
+	return d.Pending().Wait(d.clock, l)
 }
 
 // Pending returns the completion of the last enqueued operation.

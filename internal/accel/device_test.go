@@ -79,7 +79,7 @@ func TestAsyncCopyOverlapsCPU(t *testing.T) {
 	}
 	// CPU does 2ms of work; the copy (~1ms) completes underneath it.
 	clock.Advance(2 * sim.Millisecond)
-	if stall := done.Wait(clock); stall != 0 {
+	if stall := done.Wait(clock, nil); stall != 0 {
 		t.Fatalf("copy was not overlapped: stalled %v", stall)
 	}
 }

@@ -87,7 +87,7 @@ func (s *Stream) Launch(name string, args ...uint64) (sim.Completion, error) {
 		return sim.Completion{}, fmt.Errorf("accel %s: unknown kernel %q", s.dev.cfg.Name, name)
 	}
 	s.dev.clock.Advance(s.dev.cfg.LaunchOverhead)
-	if err := s.dev.launchFault(); err != nil {
+	if err := s.dev.launchFault(nil); err != nil {
 		return sim.Completion{At: s.dev.clock.Now()}, err
 	}
 	s.dev.mu.Lock()
@@ -106,7 +106,7 @@ func (s *Stream) Synchronize() sim.Time {
 	s.mu.Lock()
 	last := s.last
 	s.mu.Unlock()
-	return last.Wait(s.dev.clock)
+	return last.Wait(s.dev.clock, nil)
 }
 
 // FreeAt reports the virtual time at which the stream's queue drains.

@@ -4,7 +4,7 @@
 // The ADSM runtime's correctness rests on conventions the Go compiler
 // cannot check: coherence actions only at call/return boundaries (Gelado
 // et al., ASPLOS 2010, §3), a strict lock order in internal/core, an
-// allocation-free fault hot path, and EnterLane/ExitLane pairing. The
+// allocation-free fault hot path, and the declared access modes. The
 // analyzers under internal/analysis/... turn those conventions into
 // mechanical checks, in the spirit of Shasta's compiler-inserted access
 // checks: tooling, not discipline.

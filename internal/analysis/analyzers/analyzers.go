@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/coherence"
-	"repro/internal/analysis/lanepair"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/modecheck"
 	"repro/internal/analysis/noalloc"
@@ -22,7 +21,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		analysis.AllowCheck,
 		coherence.Analyzer,
-		lanepair.Analyzer,
 		lockorder.Analyzer,
 		modecheck.Analyzer,
 		noalloc.Analyzer,

@@ -30,6 +30,15 @@ var requiredAnnotations = map[string][]string{
 	},
 	"repro/internal/sim": {
 		"(*Breakdown).Add",
+		"(*Lane).ID",
+		"(*Lane).Now",
+		"(*Lane).Advance",
+		"(*Lane).AdvanceTo",
+		"(*Clock).NowOn",
+		"(*Clock).AdvanceOn",
+		"(*Clock).AdvanceToOn",
+		"(*Resource).SubmitNow",
+		"(*Completion).Wait",
 	},
 	"repro/internal/oplog": {
 		"(*Ring).Record",

@@ -9,7 +9,6 @@ package benchgate
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/accel"
@@ -261,26 +260,17 @@ func BenchContendedFaults(b *testing.B, lanes int) {
 		if rem := b.N - done; rem < lanes*quota {
 			quota = (rem + lanes - 1) / lanes
 		}
-		base := r.clock.Now()
-		var wg sync.WaitGroup
 		errs := make([]error, lanes)
-		for l := 0; l < lanes; l++ {
-			wg.Add(1)
-			go func(l int) {
-				defer wg.Done()
-				r.clock.EnterLaneAt(base)
-				defer r.clock.ExitLane()
-				src := []byte{byte(l)}
-				for j := 0; j < quota; j++ {
-					off := int64(j%contLaneBlocks) * benchPage
-					if err := r.mgr.HostWrite(ptrs[l]+mem.Addr(off), src); err != nil {
-						errs[l] = err
-						return
-					}
+		r.clock.InLanes(r.clock.Now(), lanes, func(i int, l *sim.Lane) {
+			src := []byte{byte(i)}
+			for j := 0; j < quota; j++ {
+				off := int64(j%contLaneBlocks) * benchPage
+				if err := r.mgr.HostWriteOn(l, ptrs[i]+mem.Addr(off), src); err != nil {
+					errs[i] = err
+					return
 				}
-			}(l)
-		}
-		wg.Wait()
+			}
+		})
 		for _, err := range errs {
 			if err != nil {
 				b.Fatal(err)

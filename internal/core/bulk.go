@@ -32,8 +32,8 @@ func (m *Manager) BulkRead(addr mem.Addr, dst []byte) error {
 	if o.dead {
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpBulkRead, Obj: o.seq, Addr: addr, Size: int64(len(dst))})
-	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
+	m.record(nil, oplog.Op{Kind: oplog.OpBulkRead, Obj: o.seq, Addr: addr, Size: int64(len(dst))})
+	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(nil, o) {
 		// Batch (and degraded objects) keep the host copy authoritative
 		// between kernel calls.
 		o.mapping.Space.Read(addr, dst)
@@ -48,9 +48,9 @@ func (m *Manager) BulkRead(addr mem.Addr, dst []byte) error {
 		if b.state == StateInvalid {
 			cur := dst[:n]
 			src := o.devAddr + (addr - o.addr)
-			err := m.retry(sim.CatCopy, "bulk read", func() error {
+			err := m.retry(nil, sim.CatCopy, "bulk read", func() error {
 				t0 := m.clock.Now()
-				_, terr := m.dev.TryMemcpyD2H(cur, src)
+				_, terr := m.dev.TryMemcpyD2H(nil, cur, src)
 				d := m.clock.Now() - t0
 				m.book(sim.CatCopy, d)
 				m.stats.D2HWait.Add(int64(d))
@@ -59,7 +59,7 @@ func (m *Manager) BulkRead(addr mem.Addr, dst []byte) error {
 			if err != nil {
 				// The only valid copy was on the lost device; the read
 				// cannot be satisfied.
-				return m.escalateLocked(o, "bulk read", err)
+				return m.escalateLocked(nil, o, "bulk read", err)
 			}
 			m.recordD2H(o, n)
 		} else {
@@ -86,8 +86,8 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 		o.mu.Unlock()
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpBulkWrite, Obj: o.seq, Addr: addr, Size: int64(len(src))})
-	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
+	m.record(nil, oplog.Op{Kind: oplog.OpBulkWrite, Obj: o.seq, Addr: addr, Size: int64(len(src))})
+	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(nil, o) {
 		// The host copy is authoritative (re-sent wholesale at the next
 		// invoke under batch; never transferred again when degraded).
 		o.mapping.Space.Write(addr, src)
@@ -103,9 +103,9 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 		if addr == b.addr && n == b.size {
 			// Whole block: device write + host invalidation.
 			cur := src[:n]
-			err := m.retry(sim.CatCopy, "bulk write", func() error {
+			err := m.retry(nil, sim.CatCopy, "bulk write", func() error {
 				t0 := m.clock.Now()
-				_, terr := m.dev.TryMemcpyH2D(b.devAddr(), cur)
+				_, terr := m.dev.TryMemcpyH2D(nil, b.devAddr(), cur)
 				d := m.clock.Now() - t0
 				m.book(sim.CatCopy, d)
 				m.stats.H2DWait.Add(int64(d))
@@ -115,10 +115,10 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 				// Escalate (degrading o to host-resident mode) and land the
 				// remaining bytes in host memory: the write still succeeds,
 				// just against the now-authoritative host copy.
-				_ = m.escalateLocked(o, "bulk write", err)
-				werr := m.hostWriteLocked(o, addr, src)
+				_ = m.escalateLocked(nil, o, "bulk write", err)
+				werr := m.hostWriteLocked(nil, o, addr, src)
 				o.mu.Unlock()
-				m.drainEvictions()
+				m.drainEvictions(nil)
 				return werr
 			}
 			m.recordH2D(o, n)
@@ -126,11 +126,11 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 			// longer dirty on the host.
 			m.rolling.forgetBlock(b)
 			b.state = StateInvalid
-			m.setProt(b, hostmmu.ProtNone)
+			m.setProt(nil, b, hostmmu.ProtNone)
 		} else {
-			if err := m.hostWriteLocked(o, addr, src[:n]); err != nil {
+			if err := m.hostWriteLocked(nil, o, addr, src[:n]); err != nil {
 				o.mu.Unlock()
-				m.drainEvictions()
+				m.drainEvictions(nil)
 				return err
 			}
 		}
@@ -138,7 +138,7 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 		src = src[n:]
 	}
 	o.mu.Unlock()
-	m.drainEvictions()
+	m.drainEvictions(nil)
 	return nil
 }
 
@@ -154,8 +154,8 @@ func (m *Manager) BulkSet(addr mem.Addr, val byte, n int64) error {
 		o.mu.Unlock()
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpBulkSet, Obj: o.seq, Addr: addr, Size: n, Arg: int64(val)})
-	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
+	m.record(nil, oplog.Op{Kind: oplog.OpBulkSet, Obj: o.seq, Addr: addr, Size: n, Arg: int64(val)})
+	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(nil, o) {
 		o.mapping.Space.Memset(addr, val, n)
 		o.mu.Unlock()
 		return nil
@@ -170,15 +170,15 @@ func (m *Manager) BulkSet(addr mem.Addr, val byte, n int64) error {
 			m.dev.Memset(b.devAddr(), val, chunk)
 			m.rolling.forgetBlock(b)
 			b.state = StateInvalid
-			m.setProt(b, hostmmu.ProtNone)
+			m.setProt(nil, b, hostmmu.ProtNone)
 		} else {
 			fill := make([]byte, chunk)
 			for i := range fill {
 				fill[i] = val
 			}
-			if err := m.hostWriteLocked(o, addr, fill); err != nil {
+			if err := m.hostWriteLocked(nil, o, addr, fill); err != nil {
 				o.mu.Unlock()
-				m.drainEvictions()
+				m.drainEvictions(nil)
 				return err
 			}
 		}
@@ -186,6 +186,6 @@ func (m *Manager) BulkSet(addr mem.Addr, val byte, n int64) error {
 		n -= chunk
 	}
 	o.mu.Unlock()
-	m.drainEvictions()
+	m.drainEvictions(nil)
 	return nil
 }

@@ -35,7 +35,7 @@ func (m *Manager) CheckInvariants() error {
 }
 
 func (m *Manager) checkInvariants() error {
-	m.drainEvictions() // settle deferred cross-object victims first
+	m.drainEvictions(nil) // settle deferred cross-object victims first
 	dirty := 0
 	var err error
 	m.eachObject(func(o *Object) {

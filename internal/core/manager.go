@@ -342,31 +342,31 @@ func (m *Manager) SpanTracer() *trace.Tracer { return m.spans }
 
 // beginSpan opens a span at the current virtual time if span tracing is
 // enabled; the zero SpanID means disabled.
-func (m *Manager) beginSpan(name, note string) trace.SpanID {
+func (m *Manager) beginSpan(l *sim.Lane, name, note string) trace.SpanID {
 	if m.spans == nil {
 		return 0
 	}
-	return m.spans.Begin(name, note, m.clock.Now())
+	return m.spans.Begin(name, note, m.clock.NowOn(l))
 }
 
 // endSpan closes a span opened by beginSpan.
-func (m *Manager) endSpan(id trace.SpanID) {
+func (m *Manager) endSpan(l *sim.Lane, id trace.SpanID) {
 	if m.spans != nil && id != 0 {
-		m.spans.End(id, m.clock.Now())
+		m.spans.End(id, m.clock.NowOn(l))
 	}
 }
 
 // emit records a trace event if tracing is enabled.
-func (m *Manager) emit(e trace.Event) {
+func (m *Manager) emit(l *sim.Lane, e trace.Event) {
 	if m.tracer != nil {
-		e.At = m.clock.Now()
+		e.At = m.clock.NowOn(l)
 		m.tracer.Append(e)
 	}
 }
 
 // charge advances the CPU clock by d and books it under cat.
-func (m *Manager) charge(cat sim.Category, d sim.Time) {
-	m.clock.Advance(d)
+func (m *Manager) charge(l *sim.Lane, cat sim.Category, d sim.Time) {
+	m.clock.AdvanceOn(l, d)
 	if m.bd != nil {
 		m.bd.Add(cat, d)
 	}
@@ -451,7 +451,7 @@ func (m *Manager) alloc(spec AllocSpec) (mem.Addr, error) {
 	if err := m.checkDeviceLost("alloc"); err != nil {
 		return 0, err
 	}
-	m.charge(sim.CatMalloc, m.cfg.MallocCost)
+	m.charge(nil, sim.CatMalloc, m.cfg.MallocCost)
 
 	t0 := m.clock.Now()
 	devAddr, err := m.dev.Malloc(size)
@@ -513,7 +513,7 @@ func (m *Manager) safeAlloc(spec AllocSpec) (mem.Addr, error) {
 	if err := m.checkDeviceLost("alloc"); err != nil {
 		return 0, err
 	}
-	m.charge(sim.CatMalloc, m.cfg.MallocCost)
+	m.charge(nil, sim.CatMalloc, m.cfg.MallocCost)
 
 	t0 := m.clock.Now()
 	devAddr, err := m.dev.Malloc(size)
@@ -566,12 +566,12 @@ func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 	m.stats.Allocs.Add(1)
 	m.mets.allocs.Inc()
 	m.introAdd(o)
-	m.emit(trace.Event{Kind: trace.EvAlloc, Addr: o.addr, Size: o.size})
+	m.emit(nil, trace.Event{Kind: trace.EvAlloc, Addr: o.addr, Size: o.size})
 	var flags uint8
 	if o.safe {
 		flags = oplog.FlagSafe
 	}
-	m.record(oplog.Op{Kind: oplog.OpAlloc, Flags: flags, Obj: o.seq,
+	m.record(nil, oplog.Op{Kind: oplog.OpAlloc, Flags: flags, Obj: o.seq,
 		Addr: o.addr, Size: o.size, Arg: int64(o.mode),
 		Note: oplog.NoteID(kernelNote(o.kernels))})
 	return o.addr, nil
@@ -593,7 +593,7 @@ func kernelNote(kernels map[string]bool) string {
 
 // Free implements adsmFree.
 func (m *Manager) Free(addr mem.Addr) error {
-	m.charge(sim.CatFree, m.cfg.FreeCost)
+	m.charge(nil, sim.CatFree, m.cfg.FreeCost)
 	o := m.objectAt(addr)
 	if o == nil || o.addr != addr {
 		return fmt.Errorf("%w: free of %#x", ErrNotShared, uint64(addr))
@@ -634,8 +634,8 @@ func (m *Manager) Free(addr mem.Addr) error {
 	m.stats.Frees.Add(1)
 	m.mets.frees.Inc()
 	m.introRemove(o)
-	m.emit(trace.Event{Kind: trace.EvFree, Addr: o.addr, Size: o.size})
-	m.record(oplog.Op{Kind: oplog.OpFree, Obj: o.seq, Addr: o.addr, Size: o.size})
+	m.emit(nil, trace.Event{Kind: trace.EvFree, Addr: o.addr, Size: o.size})
+	m.record(nil, oplog.Op{Kind: oplog.OpFree, Obj: o.seq, Addr: o.addr, Size: o.size})
 	return err
 }
 
@@ -774,7 +774,7 @@ func (m *Manager) resolveHints(h CallHints) (invokeHints, error) {
 // dispatches the kernel. The kernel is ordered behind in-flight transfers
 // by the device's stream semantics.
 func (m *Manager) Invoke(kernel string, args ...uint64) error {
-	return m.invoke(kernel, CallHints{}, args)
+	return m.InvokeOn(nil, kernel, CallHints{}, args...)
 }
 
 // InvokeAnnotated is Invoke with a kernel write-set annotation (§4.3:
@@ -784,13 +784,13 @@ func (m *Manager) Invoke(kernel string, args ...uint64) error {
 // host-valid state across the call, so reading them afterwards costs no
 // transfer. writes lists any address inside each written object.
 func (m *Manager) InvokeAnnotated(kernel string, writes []mem.Addr, args ...uint64) error {
-	return m.invoke(kernel, CallHints{Writes: writes, Annotated: true}, args)
+	return m.InvokeOn(nil, kernel, CallHints{Writes: writes, Annotated: true}, args...)
 }
 
 // InvokeHinted is Invoke with the full per-call hint set: write-set
 // annotation plus read-only/write-only access overrides.
 func (m *Manager) InvokeHinted(kernel string, h CallHints, args ...uint64) error {
-	return m.invoke(kernel, h, args)
+	return m.InvokeOn(nil, kernel, h, args...)
 }
 
 // seqAt resolves an address to its object's stable sequence number for the
@@ -802,11 +802,12 @@ func (m *Manager) seqAt(addr mem.Addr) uint32 {
 	return 0
 }
 
-// invoke dispatches a kernel.
-func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
+// InvokeOn is InvokeHinted issued from host lane l (nil for the shared
+// timeline): the release sweep and the launch are charged to l.
+func (m *Manager) InvokeOn(l *sim.Lane, kernel string, h CallHints, args ...uint64) error {
 	m.callMu.Lock()
 	defer m.callMu.Unlock()
-	return m.invokeLocked(kernel, h, args)
+	return m.invokeLocked(l, kernel, h, args)
 }
 
 // Call is InvokeHinted followed by Sync under one callMu hold: the
@@ -815,21 +816,26 @@ func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 // thread's Invoke retargets the sweep to its own kernel, so this call's
 // objects would never be re-acquired.
 func (m *Manager) Call(kernel string, h CallHints, args ...uint64) error {
+	return m.CallOn(nil, kernel, h, args...)
+}
+
+// CallOn is Call issued from host lane l (nil for the shared timeline).
+func (m *Manager) CallOn(l *sim.Lane, kernel string, h CallHints, args ...uint64) error {
 	m.callMu.Lock()
 	defer m.callMu.Unlock()
-	if err := m.invokeLocked(kernel, h, args); err != nil {
+	if err := m.invokeLocked(l, kernel, h, args); err != nil {
 		return err
 	}
-	return m.syncLocked()
+	return m.syncLocked(l)
 }
 
 // invokeLocked dispatches a kernel; the caller holds callMu. The hint
 // addresses are recorded in argument order — the resolved objectSet's map
 // order is not reproducible.
-func (m *Manager) invokeLocked(kernel string, h CallHints, args []uint64) error {
+func (m *Manager) invokeLocked(l *sim.Lane, kernel string, h CallHints, args []uint64) error {
 	// Settle deferred cross-object evictions before the release sweep so the
 	// rolling cache and block states are consistent at the call boundary.
-	m.drainEvictions()
+	m.drainEvictions(l)
 	if err := m.checkDeviceLost("invoke"); err != nil {
 		return err
 	}
@@ -837,49 +843,49 @@ func (m *Manager) invokeLocked(kernel string, h CallHints, args []uint64) error 
 	if err != nil {
 		return err
 	}
-	sp := m.beginSpan("invoke", kernel)
-	defer m.endSpan(sp)
-	m.emit(trace.Event{Kind: trace.EvInvoke, Note: kernel})
+	sp := m.beginSpan(l, "invoke", kernel)
+	defer m.endSpan(l, sp)
+	m.emit(l, trace.Event{Kind: trace.EvInvoke, Note: kernel})
 	var invokeFlags uint8
 	if h.Annotated {
 		invokeFlags = oplog.FlagAnnotated
 		for _, addr := range h.Writes {
-			m.record(oplog.Op{Kind: oplog.OpAnnotate, Obj: m.seqAt(addr), Addr: addr})
+			m.record(l, oplog.Op{Kind: oplog.OpAnnotate, Obj: m.seqAt(addr), Addr: addr})
 		}
 	}
 	for _, addr := range h.ReadOnly {
-		m.record(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintRead,
+		m.record(l, oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintRead,
 			Obj: m.seqAt(addr), Addr: addr})
 	}
 	for _, addr := range h.WriteOnly {
-		m.record(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintWriteOnly,
+		m.record(l, oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintWriteOnly,
 			Obj: m.seqAt(addr), Addr: addr})
 	}
 	for _, a := range args {
-		m.record(oplog.Op{Kind: oplog.OpArg, Arg: int64(a)})
+		m.record(l, oplog.Op{Kind: oplog.OpArg, Arg: int64(a)})
 	}
-	m.record(oplog.Op{Kind: oplog.OpInvoke, Flags: invokeFlags, Note: oplog.NoteID(kernel)})
+	m.record(l, oplog.Op{Kind: oplog.OpInvoke, Flags: invokeFlags, Note: oplog.NoteID(kernel)})
 	m.invokeKernel = kernel
-	if err := m.releaseAll(&ih); err != nil {
+	if err := m.releaseAll(l, &ih); err != nil {
 		return err
 	}
 	// Record how much flushed data is still in flight: the kernel cannot
 	// start until the H2D queue drains, so this backlog is transfer time
 	// attributable to the host-to-device direction (Figure 11).
-	if drain := m.dev.H2DFreeAt() - m.clock.Now(); drain > 0 {
+	if drain := m.dev.H2DFreeAt() - m.clock.NowOn(l); drain > 0 {
 		m.stats.H2DDrain.Add(int64(drain))
 	}
-	m.charge(sim.CatLaunch, m.cfg.LaunchCost)
-	err = m.retry(sim.CatLaunch, "launch "+kernel, func() error {
-		t0 := m.clock.Now()
-		_, lerr := m.dev.Launch(kernel, args...)
-		m.book(sim.CatCudaLaunch, m.clock.Now()-t0)
+	m.charge(l, sim.CatLaunch, m.cfg.LaunchCost)
+	err = m.retry(l, sim.CatLaunch, "launch "+kernel, func() error {
+		t0 := m.clock.NowOn(l)
+		_, lerr := m.dev.LaunchOn(l, kernel, args...)
+		m.book(sim.CatCudaLaunch, m.clock.NowOn(l)-t0)
 		return lerr
 	})
 	if err != nil && errors.Is(err, fault.ErrInjected) {
 		// Retries exhausted or the launch fault was permanent: the device
 		// is gone. Objects degrade lazily at the next entry point.
-		err = m.escalateDevice("launch "+kernel, err)
+		err = m.escalateDevice(l, "launch "+kernel, err)
 	}
 	m.stats.Invokes.Add(1)
 	m.mets.invokes.Inc()
@@ -888,26 +894,29 @@ func (m *Manager) invokeLocked(kernel string, h CallHints, args []uint64) error 
 
 // Sync implements adsmSync: it stalls until the accelerator finishes, then
 // runs the protocol's acquire actions.
-func (m *Manager) Sync() error {
+func (m *Manager) Sync() error { return m.SyncOn(nil) }
+
+// SyncOn is Sync stalling host lane l (nil for the shared timeline).
+func (m *Manager) SyncOn(l *sim.Lane) error {
 	m.callMu.Lock()
 	defer m.callMu.Unlock()
-	return m.syncLocked()
+	return m.syncLocked(l)
 }
 
 // syncLocked is Sync; the caller holds callMu.
-func (m *Manager) syncLocked() error {
+func (m *Manager) syncLocked(l *sim.Lane) error {
 	if err := m.checkDeviceLost("sync"); err != nil {
 		return err
 	}
-	sp := m.beginSpan("sync", "")
-	defer m.endSpan(sp)
-	m.record(oplog.Op{Kind: oplog.OpSync})
-	stall := m.dev.Synchronize()
+	sp := m.beginSpan(l, "sync", "")
+	defer m.endSpan(l, sp)
+	m.record(l, oplog.Op{Kind: oplog.OpSync})
+	stall := m.dev.SynchronizeOn(l)
 	m.book(sim.CatGPU, stall)
 	m.stats.Syncs.Add(1)
 	m.mets.syncs.Inc()
-	m.emit(trace.Event{Kind: trace.EvSync})
-	return m.acquireAll()
+	m.emit(l, trace.Event{Kind: trace.EvSync})
+	return m.acquireAll(l)
 }
 
 // HandleFault resolves a protection fault against this manager's objects.
@@ -917,7 +926,8 @@ func (m *Manager) HandleFault(f hostmmu.Fault) error { return m.handleFault(f) }
 
 // handleFault is installed as the MMU fault handler: it locates the block
 // (charging the search cost the paper analyses in §5.2) and lets the
-// protocol resolve the Figure 6 transition.
+// protocol resolve the Figure 6 transition. The fault's service is charged
+// to the faulting access's lane, f.Lane.
 //
 // Faults arrive synchronously from host-access paths that already hold the
 // faulted object's mu, so block-state transitions here are serialised per
@@ -925,11 +935,12 @@ func (m *Manager) HandleFault(f hostmmu.Fault) error { return m.handleFault(f) }
 //
 //adsm:noalloc
 func (m *Manager) handleFault(f hostmmu.Fault) error {
-	sp := m.beginSpan("fault", f.Access.String())
-	t0 := m.clock.Now()
+	l := f.Lane
+	sp := m.beginSpan(l, "fault", f.Access.String())
+	t0 := m.clock.NowOn(l)
 	defer func() {
-		m.mets.faultNs.Observe(int64(m.clock.Now() - t0))
-		m.endSpan(sp)
+		m.mets.faultNs.Observe(int64(m.clock.NowOn(l) - t0))
+		m.endSpan(l, sp)
 	}()
 	b, visits := m.blockAt(f.Addr)
 	m.mets.searchDepth.Observe(visits)
@@ -947,7 +958,7 @@ func (m *Manager) handleFault(f hostmmu.Fault) error {
 	} else {
 		m.mets.readFaults.Inc()
 	}
-	m.charge(sim.CatSignal, search)
+	m.charge(l, sim.CatSignal, search)
 	if b == nil {
 		return errUnsharedFault(f.Addr)
 	}
@@ -958,19 +969,19 @@ func (m *Manager) handleFault(f hostmmu.Fault) error {
 		b.obj.counters.readFaults.Add(1)
 	}
 	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFault, Addr: b.addr, Size: b.size,
+		m.emit(l, trace.Event{Kind: trace.EvFault, Addr: b.addr, Size: b.size,
 			Note: faultNote(f.Access, b.state)})
 	}
 	var faultFlags uint8
 	if f.Access == hostmmu.AccessWrite {
 		faultFlags = oplog.FlagWrite
 	}
-	m.record(oplog.Op{Kind: oplog.OpFault, Flags: faultFlags, Obj: b.obj.seq,
+	m.record(l, oplog.Op{Kind: oplog.OpFault, Flags: faultFlags, Obj: b.obj.seq,
 		Addr: b.addr, Size: b.size, Arg: int64(b.state)})
 	if err := m.checkModeFault(b, f.Access); err != nil {
 		return err
 	}
-	return m.protoFault(b, f.Access)
+	return m.protoFault(l, b, f.Access)
 }
 
 // errUnsharedFault formats the unshared-address error off the fault hot
@@ -1008,7 +1019,11 @@ func faultNote(access hostmmu.Access, s State) string {
 
 // HostRead performs a CPU read of [addr, addr+len(dst)) through the MMU,
 // faulting and fetching as the protocol dictates, then copies the bytes.
-func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
+func (m *Manager) HostRead(addr mem.Addr, dst []byte) error { return m.HostReadOn(nil, addr, dst) }
+
+// HostReadOn is HostRead made by host lane l (nil for the shared
+// timeline): the faults it takes are serviced on l.
+func (m *Manager) HostReadOn(l *sim.Lane, addr mem.Addr, dst []byte) error {
 	o, err := m.boundsCheck(addr, int64(len(dst)))
 	if err != nil {
 		return err
@@ -1018,14 +1033,14 @@ func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
 		o.mu.Unlock()
 		return fmt.Errorf("%w: access at %#x", ErrNotShared, uint64(addr))
 	}
-	m.record(oplog.Op{Kind: oplog.OpHostRead, Obj: o.seq, Addr: addr, Size: int64(len(dst))})
-	if err := m.mmu.CheckRead(addr, int64(len(dst))); err != nil {
+	m.record(l, oplog.Op{Kind: oplog.OpHostRead, Obj: o.seq, Addr: addr, Size: int64(len(dst))})
+	if err := m.mmu.Check(l, addr, int64(len(dst)), hostmmu.AccessRead); err != nil {
 		o.mu.Unlock()
 		return err
 	}
 	o.mapping.Space.Read(addr, dst)
 	o.mu.Unlock()
-	m.drainEvictions()
+	m.drainEvictions(l)
 	return nil
 }
 
@@ -1035,7 +1050,11 @@ func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
 // written block) before that block's bytes land, never after. Resolving all
 // faults up front would let a rolling-cache eviction flush a block the CPU
 // has not written yet and then miss the write entirely.
-func (m *Manager) HostWrite(addr mem.Addr, src []byte) error {
+func (m *Manager) HostWrite(addr mem.Addr, src []byte) error { return m.HostWriteOn(nil, addr, src) }
+
+// HostWriteOn is HostWrite made by host lane l (nil for the shared
+// timeline): the faults it takes are serviced on l.
+func (m *Manager) HostWriteOn(l *sim.Lane, addr mem.Addr, src []byte) error {
 	o, err := m.boundsCheck(addr, int64(len(src)))
 	if err != nil {
 		return err
@@ -1045,15 +1064,15 @@ func (m *Manager) HostWrite(addr mem.Addr, src []byte) error {
 		o.mu.Unlock()
 		return fmt.Errorf("%w: access at %#x", ErrNotShared, uint64(addr))
 	}
-	m.record(oplog.Op{Kind: oplog.OpHostWrite, Obj: o.seq, Addr: addr, Size: int64(len(src))})
-	err = m.hostWriteLocked(o, addr, src)
+	m.record(l, oplog.Op{Kind: oplog.OpHostWrite, Obj: o.seq, Addr: addr, Size: int64(len(src))})
+	err = m.hostWriteLocked(l, o, addr, src)
 	o.mu.Unlock()
-	m.drainEvictions()
+	m.drainEvictions(l)
 	return err
 }
 
 // hostWriteLocked is HostWrite's block-by-block walk; the caller holds o.mu.
-func (m *Manager) hostWriteLocked(o *Object, addr mem.Addr, src []byte) error {
+func (m *Manager) hostWriteLocked(l *sim.Lane, o *Object, addr mem.Addr, src []byte) error {
 	for len(src) > 0 {
 		n := int64(len(src))
 		if b := o.BlockAt(addr); b != nil {
@@ -1061,7 +1080,7 @@ func (m *Manager) hostWriteLocked(o *Object, addr mem.Addr, src []byte) error {
 				n = rem
 			}
 		}
-		if err := m.mmu.CheckWrite(addr, n); err != nil {
+		if err := m.mmu.Check(l, addr, n, hostmmu.AccessWrite); err != nil {
 			return err
 		}
 		o.mapping.Space.Write(addr, src[:n])
@@ -1092,19 +1111,14 @@ func (m *Manager) HostBytes(addr mem.Addr, n int64, access hostmmu.Access) ([]by
 	if access == hostmmu.AccessWrite {
 		accFlags = oplog.FlagWrite
 	}
-	m.record(oplog.Op{Kind: oplog.OpHostAccess, Flags: accFlags, Obj: o.seq, Addr: addr, Size: n})
-	if access == hostmmu.AccessWrite {
-		err = m.mmu.CheckWrite(addr, n)
-	} else {
-		err = m.mmu.CheckRead(addr, n)
-	}
-	if err != nil {
+	m.record(nil, oplog.Op{Kind: oplog.OpHostAccess, Flags: accFlags, Obj: o.seq, Addr: addr, Size: n})
+	if err := m.mmu.Check(nil, addr, n, access); err != nil {
 		o.mu.Unlock()
 		return nil, err
 	}
 	bytes := o.mapping.Space.Bytes(addr, n)
 	o.mu.Unlock()
-	m.drainEvictions()
+	m.drainEvictions(nil)
 	return bytes, nil
 }
 
@@ -1141,7 +1155,7 @@ func runSize(first *Block, n int) int64 {
 // may still be in flight — the wait target is the completion of the
 // transfer before last — so eviction DMA overlaps the fault service that
 // triggered it instead of serialising behind it.
-func (m *Manager) waitH2DSlot() {
+func (m *Manager) waitH2DSlot(l *sim.Lane) {
 	var target sim.Time
 	if m.cfg.DisableEvictionOverlap {
 		target = m.dev.H2DFreeAt()
@@ -1150,11 +1164,11 @@ func (m *Manager) waitH2DSlot() {
 		target = m.prevFlush
 		m.flushMu.Unlock()
 	}
-	wait := target - m.clock.Now()
+	wait := target - m.clock.NowOn(l)
 	if wait <= 0 {
 		return
 	}
-	m.clock.Advance(wait)
+	m.clock.AdvanceOn(l, wait)
 	m.stats.H2DWait.Add(int64(wait))
 	m.book(sim.CatCopy, wait)
 }
@@ -1176,8 +1190,8 @@ func (m *Manager) noteFlushIssued(done sim.Time) {
 // be free. Injected faults are retried (inline, no closure — this runs on
 // the fault path); an unrecoverable failure escalates (device lost, b's
 // object degraded) and is returned. The caller holds b.obj.mu.
-func (m *Manager) flushBlockEager(b *Block) error {
-	return m.flushRunEager(b, 1)
+func (m *Manager) flushBlockEager(l *sim.Lane, b *Block) error {
+	return m.flushRunEager(l, b, 1)
 }
 
 // flushRunEager is flushBlockEager over n consecutive dirty blocks with a
@@ -1186,28 +1200,28 @@ func (m *Manager) flushBlockEager(b *Block) error {
 // holds first.obj.mu.
 //
 //adsm:noalloc
-func (m *Manager) flushRunEager(first *Block, n int) error {
-	sp := m.beginSpan("flush", "eager")
-	defer m.endSpan(sp)
+func (m *Manager) flushRunEager(l *sim.Lane, first *Block, n int) error {
+	sp := m.beginSpan(l, "flush", "eager")
+	defer m.endSpan(l, sp)
 	o := first.obj
 	size := runSize(first, n)
 	for attempt := 0; ; attempt++ {
-		m.waitH2DSlot()
-		done, terr := m.dev.TryMemcpyH2DAsync(first.devAddr(), o.mapping.Space.Bytes(first.addr, size))
+		m.waitH2DSlot(l)
+		done, terr := m.dev.TryMemcpyH2DAsync(l, first.devAddr(), o.mapping.Space.Bytes(first.addr, size))
 		if terr == nil {
 			m.noteFlushIssued(done.At)
 			break
 		}
-		again, ferr := m.retryStep(sim.CatCopy, "flush", attempt, terr)
+		again, ferr := m.retryStep(l, sim.CatCopy, "flush", attempt, terr)
 		if !again {
-			return m.escalateLocked(o, "flush", ferr)
+			return m.escalateLocked(l, o, "flush", ferr)
 		}
 	}
 	m.recordH2D(o, size)
 	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFlush, Addr: first.addr, Size: size, Note: "eager"})
+		m.emit(l, trace.Event{Kind: trace.EvFlush, Addr: first.addr, Size: size, Note: "eager"})
 	}
-	m.record(oplog.Op{Kind: oplog.OpFlush, Obj: o.seq, Addr: first.addr, Size: size})
+	m.record(l, oplog.Op{Kind: oplog.OpFlush, Obj: o.seq, Addr: first.addr, Size: size})
 	return nil
 }
 
@@ -1215,28 +1229,28 @@ func (m *Manager) flushRunEager(first *Block, n int) error {
 // CPU until it completes (batch-update's conservative behaviour). Faults
 // are retried and escalate like flushBlockEager. The caller holds
 // b.obj.mu.
-func (m *Manager) flushBlockSync(b *Block) error {
-	sp := m.beginSpan("flush", "sync")
-	defer m.endSpan(sp)
+func (m *Manager) flushBlockSync(l *sim.Lane, b *Block) error {
+	sp := m.beginSpan(l, "flush", "sync")
+	defer m.endSpan(l, sp)
 	for attempt := 0; ; attempt++ {
-		t0 := m.clock.Now()
-		_, terr := m.dev.TryMemcpyH2D(b.devAddr(), b.hostBytes())
-		d := m.clock.Now() - t0
+		t0 := m.clock.NowOn(l)
+		_, terr := m.dev.TryMemcpyH2D(l, b.devAddr(), b.hostBytes())
+		d := m.clock.NowOn(l) - t0
 		m.stats.H2DWait.Add(int64(d))
 		m.book(sim.CatCopy, d)
 		if terr == nil {
 			break
 		}
-		again, ferr := m.retryStep(sim.CatCopy, "flush", attempt, terr)
+		again, ferr := m.retryStep(l, sim.CatCopy, "flush", attempt, terr)
 		if !again {
-			return m.escalateLocked(b.obj, "flush", ferr)
+			return m.escalateLocked(l, b.obj, "flush", ferr)
 		}
 	}
 	m.recordH2D(b.obj, b.size)
 	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFlush, Addr: b.addr, Size: b.size, Note: "sync"})
+		m.emit(l, trace.Event{Kind: trace.EvFlush, Addr: b.addr, Size: b.size, Note: "sync"})
 	}
-	m.record(oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync,
+	m.record(l, oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync,
 		Obj: b.obj.seq, Addr: b.addr, Size: b.size})
 	return nil
 }
@@ -1248,28 +1262,28 @@ func (m *Manager) flushBlockSync(b *Block) error {
 // The caller holds b.obj.mu.
 //
 //adsm:noalloc
-func (m *Manager) fetchBlockSync(b *Block) error {
-	sp := m.beginSpan("fetch", "")
-	defer m.endSpan(sp)
+func (m *Manager) fetchBlockSync(l *sim.Lane, b *Block) error {
+	sp := m.beginSpan(l, "fetch", "")
+	defer m.endSpan(l, sp)
 	for attempt := 0; ; attempt++ {
-		t0 := m.clock.Now()
-		_, terr := m.dev.TryMemcpyD2H(b.hostBytes(), b.devAddr())
-		d := m.clock.Now() - t0
+		t0 := m.clock.NowOn(l)
+		_, terr := m.dev.TryMemcpyD2H(l, b.hostBytes(), b.devAddr())
+		d := m.clock.NowOn(l) - t0
 		m.stats.D2HWait.Add(int64(d))
 		m.book(sim.CatCopy, d)
 		if terr == nil {
 			break
 		}
-		again, ferr := m.retryStep(sim.CatCopy, "fetch", attempt, terr)
+		again, ferr := m.retryStep(l, sim.CatCopy, "fetch", attempt, terr)
 		if !again {
-			return m.escalateLocked(b.obj, "fetch", ferr)
+			return m.escalateLocked(l, b.obj, "fetch", ferr)
 		}
 	}
 	m.recordD2H(b.obj, b.size)
 	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFetch, Addr: b.addr, Size: b.size})
+		m.emit(l, trace.Event{Kind: trace.EvFetch, Addr: b.addr, Size: b.size})
 	}
-	m.record(oplog.Op{Kind: oplog.OpFetch, Obj: b.obj.seq, Addr: b.addr, Size: b.size})
+	m.record(l, oplog.Op{Kind: oplog.OpFetch, Obj: b.obj.seq, Addr: b.addr, Size: b.size})
 	return nil
 }
 
@@ -1282,23 +1296,23 @@ func (m *Manager) fetchBlockSync(b *Block) error {
 // verified every block of the run is StateInvalid.
 //
 //adsm:noalloc
-func (m *Manager) fetchRunSync(first *Block, n int) error {
-	sp := m.beginSpan("fetch", "run")
-	defer m.endSpan(sp)
+func (m *Manager) fetchRunSync(l *sim.Lane, first *Block, n int) error {
+	sp := m.beginSpan(l, "fetch", "run")
+	defer m.endSpan(l, sp)
 	o := first.obj
 	size := runSize(first, n)
 	for attempt := 0; ; attempt++ {
-		t0 := m.clock.Now()
-		_, terr := m.dev.TryMemcpyD2H(o.mapping.Space.Bytes(first.addr, size), first.devAddr())
-		d := m.clock.Now() - t0
+		t0 := m.clock.NowOn(l)
+		_, terr := m.dev.TryMemcpyD2H(l, o.mapping.Space.Bytes(first.addr, size), first.devAddr())
+		d := m.clock.NowOn(l) - t0
 		m.stats.D2HWait.Add(int64(d))
 		m.book(sim.CatCopy, d)
 		if terr == nil {
 			break
 		}
-		again, ferr := m.retryStep(sim.CatCopy, "fetch", attempt, terr)
+		again, ferr := m.retryStep(l, sim.CatCopy, "fetch", attempt, terr)
 		if !again {
-			return m.escalateLocked(o, "fetch", ferr)
+			return m.escalateLocked(l, o, "fetch", ferr)
 		}
 	}
 	m.recordD2H(o, size)
@@ -1307,9 +1321,9 @@ func (m *Manager) fetchRunSync(first *Block, n int) error {
 	m.mets.faultBatches.Inc()
 	m.mets.prefetchedBlocks.Add(int64(n - 1))
 	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFetch, Addr: first.addr, Size: size, Note: "run"})
+		m.emit(l, trace.Event{Kind: trace.EvFetch, Addr: first.addr, Size: size, Note: "run"})
 	}
-	m.record(oplog.Op{Kind: oplog.OpFetch, Obj: o.seq, Addr: first.addr, Size: size, Arg: int64(n)})
+	m.record(l, oplog.Op{Kind: oplog.OpFetch, Obj: o.seq, Addr: first.addr, Size: size, Arg: int64(n)})
 	return nil
 }
 
@@ -1353,16 +1367,16 @@ type evictRun struct {
 // against the victims' object and the manager totals. Evictions count
 // blocks, not transfers, so the counter stays comparable whether or not
 // coalescing is enabled.
-func (m *Manager) noteEviction(first *Block, n int) {
+func (m *Manager) noteEviction(l *sim.Lane, first *Block, n int) {
 	m.stats.Evictions.Add(int64(n))
 	m.mets.evictions.Add(int64(n))
 	first.obj.counters.evictions.Add(int64(n))
-	m.record(oplog.Op{Kind: oplog.OpEvict, Obj: first.obj.seq,
+	m.record(l, oplog.Op{Kind: oplog.OpEvict, Obj: first.obj.seq,
 		Addr: first.addr, Size: runSize(first, n), Arg: int64(n)})
 	if m.tracer != nil {
 		for i := 0; i < n; i++ {
 			b := first.obj.blocks[first.index+i]
-			m.emit(trace.Event{Kind: trace.EvEvict, Addr: b.addr, Size: b.size})
+			m.emit(l, trace.Event{Kind: trace.EvEvict, Addr: b.addr, Size: b.size})
 		}
 	}
 }
@@ -1375,7 +1389,7 @@ func (m *Manager) noteEviction(first *Block, n int) {
 // fault the flush has already escalated (victims' object degraded, blocks
 // left Dirty and writable) and the error is returned. The caller must hold
 // first.obj.mu.
-func (m *Manager) flushEvicted(first *Block, n int, checkQueued bool) error {
+func (m *Manager) flushEvicted(l *sim.Lane, first *Block, n int, checkQueued bool) error {
 	o := first.obj
 	end := first.index + n
 	for i := first.index; i < end; {
@@ -1390,13 +1404,13 @@ func (m *Manager) flushEvicted(first *Block, n int, checkQueued bool) error {
 			break
 		}
 		sub := o.blocks[i]
-		if err := m.flushRunEager(sub, j-i); err != nil {
+		if err := m.flushRunEager(l, sub, j-i); err != nil {
 			return err
 		}
 		for k := i; k < j; k++ {
 			o.blocks[k].state = StateReadOnly
 		}
-		m.setProtRun(sub, j-i, hostmmu.ProtRead)
+		m.setProtRun(l, sub, j-i, hostmmu.ProtRead)
 		i = j
 	}
 	return nil
@@ -1424,12 +1438,12 @@ func (m *Manager) deferEviction(first *Block, n int) {
 // deferral is left alone (the cache owns it again); one flushed by a racing
 // drain is skipped via the state check. Both cases are handled per block
 // inside flushEvicted, splitting the run as needed.
-func (m *Manager) drainEvictions() {
+func (m *Manager) drainEvictions(l *sim.Lane) {
 	if m.lost.Load() {
 		// The device is gone: deferred flushes are moot, and any object not
 		// yet degraded switches to host-resident mode here, the sweep every
 		// entry point passes through.
-		m.degradeAll()
+		m.degradeAll(l)
 	}
 	m.evictMu.Lock()
 	runs := m.evictQ
@@ -1441,7 +1455,7 @@ func (m *Manager) drainEvictions() {
 		if !o.dead && !o.degraded.Load() {
 			// An unrecoverable flush has already escalated (the object is
 			// degraded and keeps its data host-side); nothing further to do.
-			_ = m.flushEvicted(r.first, r.n, true)
+			_ = m.flushEvicted(l, r.first, r.n, true)
 		}
 		o.mu.Unlock()
 	}
@@ -1450,8 +1464,8 @@ func (m *Manager) drainEvictions() {
 // setProt changes a block's protection, charging the mprotect cost.
 //
 //adsm:noalloc
-func (m *Manager) setProt(b *Block, prot hostmmu.Prot) {
-	m.charge(sim.CatSignal, m.cfg.MprotectCost)
+func (m *Manager) setProt(l *sim.Lane, b *Block, prot hostmmu.Prot) {
+	m.charge(l, sim.CatSignal, m.cfg.MprotectCost)
 	if err := m.mmu.Mprotect(b.addr, b.size, prot); err != nil {
 		// Blocks are always mapped while their object lives; failure here
 		// is a manager bug, not a recoverable condition.
@@ -1463,12 +1477,12 @@ func (m *Manager) setProt(b *Block, prot hostmmu.Prot) {
 // mprotect call (one charge for the whole run).
 //
 //adsm:noalloc
-func (m *Manager) setProtRun(first *Block, n int, prot hostmmu.Prot) {
+func (m *Manager) setProtRun(l *sim.Lane, first *Block, n int, prot hostmmu.Prot) {
 	if n == 1 {
-		m.setProt(first, prot)
+		m.setProt(l, first, prot)
 		return
 	}
-	m.charge(sim.CatSignal, m.cfg.MprotectCost)
+	m.charge(l, sim.CatSignal, m.cfg.MprotectCost)
 	if err := m.mmu.Mprotect(first.addr, runSize(first, n), prot); err != nil {
 		mprotectFailed("block run", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/hostmmu"
 	"repro/internal/mem"
 	"repro/internal/oplog"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -148,7 +149,7 @@ func autoVote(o *Object, dFaults, dWrites, dEvicts int64) ProtocolKind {
 // caller holds o.mu. Counter snapshots and the vote streak live on the
 // object, so the decision sequence is a deterministic function of the
 // replayed op order.
-func (m *Manager) autoStep(o *Object) error {
+func (m *Manager) autoStep(l *sim.Lane, o *Object) error {
 	if o.degraded.Load() {
 		return nil
 	}
@@ -174,7 +175,7 @@ func (m *Manager) autoStep(o *Object) error {
 		return nil
 	}
 	o.autoStreak = 0
-	return m.migrate(o, vote)
+	return m.migrate(l, o, vote)
 }
 
 // migrate moves o to a new protocol at an acquire boundary. The caller
@@ -183,7 +184,7 @@ func (m *Manager) autoStep(o *Object) error {
 // block ReadOnly with read-only protection — which is a valid starting
 // state for all three protocols. A failed flush has already escalated
 // (object degraded, data host-resident) and aborts the migration.
-func (m *Manager) migrate(o *Object, to ProtocolKind) error {
+func (m *Manager) migrate(l *sim.Lane, o *Object, to ProtocolKind) error {
 	from := o.proto
 	if from == to {
 		return nil
@@ -195,7 +196,7 @@ func (m *Manager) migrate(o *Object, to ProtocolKind) error {
 		if b.state != StateDirty {
 			continue
 		}
-		if err := m.flushBlockEager(b); err != nil {
+		if err := m.flushBlockEager(l, b); err != nil {
 			return err
 		}
 		b.state = StateReadOnly
@@ -204,7 +205,7 @@ func (m *Manager) migrate(o *Object, to ProtocolKind) error {
 		if b.state == StateInvalid && to == BatchUpdate {
 			// Batch-update has no protection to catch the next access, so
 			// Invalid blocks must be made host-valid on entry.
-			if err := m.fetchBlockSync(b); err != nil {
+			if err := m.fetchBlockSync(l, b); err != nil {
 				return err
 			}
 			b.state = StateReadOnly
@@ -216,14 +217,14 @@ func (m *Manager) migrate(o *Object, to ProtocolKind) error {
 		for _, b := range o.blocks {
 			b.state = StateDirty
 		}
-		m.setProtObject(o, hostmmu.ProtReadWrite)
+		m.setProtObject(l, o, hostmmu.ProtReadWrite)
 	} else {
 		// Lazy/rolling resume from the all-ReadOnly protected state; any
 		// Invalid blocks keep faulting on first touch as usual.
-		m.setProtObject(o, hostmmu.ProtRead)
+		m.setProtObject(l, o, hostmmu.ProtRead)
 		for _, b := range o.blocks {
 			if b.state == StateInvalid {
-				m.setProt(b, hostmmu.ProtNone)
+				m.setProt(l, b, hostmmu.ProtNone)
 			}
 		}
 	}
@@ -236,10 +237,10 @@ func (m *Manager) migrate(o *Object, to ProtocolKind) error {
 	o.proto = to
 	m.stats.ModeMigrations.Add(1)
 	m.mets.modeMigrations.Inc()
-	m.record(oplog.Op{Kind: oplog.OpModeMigrate, Obj: o.seq, Addr: o.addr,
+	m.record(l, oplog.Op{Kind: oplog.OpModeMigrate, Obj: o.seq, Addr: o.addr,
 		Size: o.size, Arg: int64(from)<<8 | int64(to)})
 	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvTransition, Addr: o.addr, Size: o.size,
+		m.emit(l, trace.Event{Kind: trace.EvTransition, Addr: o.addr, Size: o.size,
 			From: from.String(), To: to.String(), Note: "mode-migrate"})
 	}
 	return nil

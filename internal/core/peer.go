@@ -27,8 +27,8 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 	if o.dead {
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpIOWrite, Obj: o.seq, Addr: addr, Size: int64(len(src))})
-	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
+	m.record(nil, oplog.Op{Kind: oplog.OpIOWrite, Obj: o.seq, Addr: addr, Size: int64(len(src))})
+	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(nil, o) {
 		// Batch (and degraded objects) keep the host copy authoritative;
 		// peer DMA cannot help.
 		o.mapping.Space.Write(addr, src)
@@ -44,7 +44,7 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 			// Preserve host bytes outside the written range. A permanent
 			// flush failure degrades o to host-resident mode: land the
 			// remaining peer bytes in the authoritative host copy instead.
-			if err := m.flushBlockEager(b); err != nil {
+			if err := m.flushBlockEager(nil, b); err != nil {
 				o.mapping.Space.Write(addr, src)
 				return nil
 			}
@@ -56,7 +56,7 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 		m.stats.PeerBytesIn.Add(n)
 		if b.state != StateInvalid {
 			b.state = StateInvalid
-			m.setProt(b, hostmmu.ProtNone)
+			m.setProt(nil, b, hostmmu.ProtNone)
 		}
 		addr += mem.Addr(n)
 		src = src[n:]
@@ -79,8 +79,8 @@ func (m *Manager) PeerRead(addr mem.Addr, dst []byte) error {
 	if o.dead {
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpIORead, Obj: o.seq, Addr: addr, Size: int64(len(dst))})
-	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
+	m.record(nil, oplog.Op{Kind: oplog.OpIORead, Obj: o.seq, Addr: addr, Size: int64(len(dst))})
+	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(nil, o) {
 		o.mapping.Space.Read(addr, dst)
 		return nil
 	}

@@ -25,8 +25,8 @@ import (
 
 // setProtObject changes the protection of a whole object with a single
 // mprotect call (one charge, covering all pages).
-func (m *Manager) setProtObject(o *Object, prot hostmmu.Prot) {
-	m.charge(sim.CatSignal, m.cfg.MprotectCost)
+func (m *Manager) setProtObject(l *sim.Lane, o *Object, prot hostmmu.Prot) {
+	m.charge(l, sim.CatSignal, m.cfg.MprotectCost)
 	if err := m.mmu.Mprotect(o.addr, m.pageAlignedSize(o.size), prot); err != nil {
 		panic(fmt.Sprintf("core: mprotect of live object failed: %v", err))
 	}
@@ -51,7 +51,7 @@ func (m *Manager) protoAlloc(o *Object) {
 		for _, b := range o.blocks {
 			b.state = StateReadOnly
 		}
-		m.setProtObject(o, hostmmu.ProtRead)
+		m.setProtObject(nil, o, hostmmu.ProtRead)
 	}
 }
 
@@ -59,16 +59,16 @@ func (m *Manager) protoAlloc(o *Object) {
 // per the faulted object's governing protocol. The caller holds b.obj.mu.
 //
 //adsm:noalloc
-func (m *Manager) protoFault(b *Block, access hostmmu.Access) error {
+func (m *Manager) protoFault(l *sim.Lane, b *Block, access hostmmu.Access) error {
 	switch b.obj.proto {
 	case BatchUpdate:
 		// Batch-update leaves pages read/write; a fault can only mean a
 		// manager bug (mode violations were vetted before dispatch).
 		return errBatchFault(access, b.addr)
 	case LazyUpdate:
-		return resolveFault(m, b, access)
+		return resolveFault(m, l, b, access)
 	case RollingUpdate:
-		return m.rollingFault(b, access)
+		return m.rollingFault(l, b, access)
 	}
 	return errBatchFault(access, b.addr) // unreachable: proto is validated
 }
@@ -76,18 +76,18 @@ func (m *Manager) protoFault(b *Block, access hostmmu.Access) error {
 // rollingFault is the rolling-update fault edge: resolve like lazy-update,
 // then enqueue newly dirty blocks in the rolling cache, flushing the
 // eviction run that falls out. The caller holds b.obj.mu.
-func (m *Manager) rollingFault(b *Block, access hostmmu.Access) error {
-	if err := resolveFault(m, b, access); err != nil {
+func (m *Manager) rollingFault(l *sim.Lane, b *Block, access hostmmu.Access) error {
+	if err := resolveFault(m, l, b, access); err != nil {
 		return err
 	}
 	if b.state == StateDirty && !b.obj.degraded.Load() {
 		if victim, run := m.rolling.push(b); victim != nil {
-			m.noteEviction(victim, run)
+			m.noteEviction(l, victim, run)
 			if victim.obj == b.obj {
 				// Same object: this fault already holds its lock. The run's
 				// blocks were just popped and cannot have been re-queued, so
 				// skip the queued re-check.
-				if err := m.flushEvicted(victim, run, false); err != nil {
+				if err := m.flushEvicted(l, victim, run, false); err != nil {
 					return err
 				}
 			} else {
@@ -113,9 +113,9 @@ func (m *Manager) haveRollingWork() bool {
 // releaseAll runs the release actions of a kernel invocation: the rolling
 // cache is drained first, then every object in the call's scope is released
 // under its own protocol and access mode. The caller holds callMu.
-func (m *Manager) releaseAll(ih *invokeHints) error {
+func (m *Manager) releaseAll(l *sim.Lane, ih *invokeHints) error {
 	if m.haveRollingWork() {
-		if err := m.releaseRollingCache(ih); err != nil {
+		if err := m.releaseRollingCache(l, ih); err != nil {
 			return err
 		}
 	}
@@ -124,7 +124,7 @@ func (m *Manager) releaseAll(ih *invokeHints) error {
 		if err != nil || o.degraded.Load() {
 			return
 		}
-		err = m.releaseObject(o, ih)
+		err = m.releaseObject(l, o, ih)
 	})
 	return err
 }
@@ -135,7 +135,7 @@ func (m *Manager) releaseAll(ih *invokeHints) error {
 // keeps the cache bookkeeping simple — but they are not invalidated by the
 // release sweep. Blocks of objects the call hints as fully overwritten are
 // left dirty for releaseObject to invalidate without the write-back.
-func (m *Manager) releaseRollingCache(ih *invokeHints) error {
+func (m *Manager) releaseRollingCache(l *sim.Lane, ih *invokeHints) error {
 	defer m.mets.rollingOcc.Set(0)
 	var err error
 	drained := m.rolling.drain()
@@ -166,7 +166,7 @@ func (m *Manager) releaseRollingCache(ih *invokeHints) error {
 			// them to ReadOnly so the next CPU write faults again. Objects
 			// the sweep below invalidates get their object-wide ProtNone
 			// afterwards, superseding the per-run downgrade.
-			if e := m.flushEvicted(first, j-i, false); e != nil {
+			if e := m.flushEvicted(l, first, j-i, false); e != nil {
 				// Escalated: o is degraded and keeps its data host-side.
 				// Finish the walk so other objects' blocks are not left
 				// dirty-but-unqueued, then fail the invocation.
@@ -184,12 +184,12 @@ func (m *Manager) releaseRollingCache(ih *invokeHints) error {
 // of travelling, objects hinted write-only for this call invalidate without
 // the flush, and everything else follows its protocol's release edge. The
 // caller holds o.mu; o is live and not degraded.
-func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
+func (m *Manager) releaseObject(l *sim.Lane, o *Object, ih *invokeHints) error {
 	if o.mode == ModeReadOnly {
-		return m.sealReadOnly(o)
+		return m.sealReadOnly(l, o)
 	}
 	if ih.wo[o] {
-		return m.invalidateUnflushed(o)
+		return m.invalidateUnflushed(l, o)
 	}
 	written := ih.written(o)
 	switch o.proto {
@@ -201,7 +201,7 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 		// output.
 		for _, b := range o.blocks {
 			if b.state == StateDirty {
-				if err := m.flushBlockSync(b); err != nil {
+				if err := m.flushBlockSync(l, b); err != nil {
 					return err
 				}
 			}
@@ -219,13 +219,13 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 		// way.
 		for _, b := range o.blocks {
 			if b.state == StateDirty {
-				if err := m.flushBlockEager(b); err != nil {
+				if err := m.flushBlockEager(l, b); err != nil {
 					return err
 				}
 				b.state = StateReadOnly
 				if !written {
 					// Both copies now match; catch the next CPU write.
-					m.setProt(b, hostmmu.ProtRead)
+					m.setProt(l, b, hostmmu.ProtRead)
 				}
 			}
 			if written {
@@ -233,7 +233,7 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 			}
 		}
 		if written {
-			m.setProtObject(o, hostmmu.ProtNone)
+			m.setProtObject(l, o, hostmmu.ProtNone)
 		}
 	}
 	return nil
@@ -244,7 +244,7 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 // entirely — with zero allocations — unless the configured protocol is
 // batch-update or some object carries a non-default access mode. The caller
 // holds callMu.
-func (m *Manager) acquireAll() error {
+func (m *Manager) acquireAll(l *sim.Lane) error {
 	if m.cfg.Protocol != BatchUpdate && m.moded.Load() == 0 {
 		return nil
 	}
@@ -253,7 +253,7 @@ func (m *Manager) acquireAll() error {
 		if err != nil || o.degraded.Load() {
 			return
 		}
-		err = m.acquireObject(o)
+		err = m.acquireObject(l, o)
 	})
 	return err
 }
@@ -261,7 +261,7 @@ func (m *Manager) acquireAll() error {
 // acquireObject performs one object's acquire actions: the protocol's
 // Figure 6 return edge, narrowed by the access mode, then the auto-mode
 // migration step. The caller holds o.mu; o is live and not degraded.
-func (m *Manager) acquireObject(o *Object) error {
+func (m *Manager) acquireObject(l *sim.Lane, o *Object) error {
 	if o.mode == ModeReadOnly && o.sealed {
 		// Replicated once: both copies are identical forever, so nothing
 		// travels. Under batch-update every block's return fetch is elided.
@@ -287,7 +287,7 @@ func (m *Manager) acquireObject(o *Object) error {
 		// other kernels never went to the device for this call, so fetching
 		// them would clobber the host's authoritative copy.
 		for _, b := range o.blocks {
-			if err := m.fetchBlockSync(b); err != nil {
+			if err := m.fetchBlockSync(l, b); err != nil {
 				return err
 			}
 			b.state = StateDirty
@@ -296,7 +296,7 @@ func (m *Manager) acquireObject(o *Object) error {
 		// Nothing: blocks stay invalid until the CPU actually touches them.
 	}
 	if o.mode == ModeAuto {
-		return m.autoStep(o)
+		return m.autoStep(l, o)
 	}
 	return nil
 }
@@ -307,7 +307,7 @@ func (m *Manager) acquireObject(o *Object) error {
 // invalidated again — zero fault-service DMA for the rest of its life.
 // Host writes after the seal fault and fail with ErrModeViolation
 // (checkModeFault). The caller holds o.mu.
-func (m *Manager) sealReadOnly(o *Object) error {
+func (m *Manager) sealReadOnly(l *sim.Lane, o *Object) error {
 	if o.sealed {
 		return nil
 	}
@@ -318,20 +318,20 @@ func (m *Manager) sealReadOnly(o *Object) error {
 	for _, b := range o.blocks {
 		switch b.state {
 		case StateDirty:
-			if err := m.flushBlockEager(b); err != nil {
+			if err := m.flushBlockEager(l, b); err != nil {
 				return err
 			}
 		case StateInvalid:
 			// Unreachable today — read-only objects are never invalidated —
 			// but fetch defensively so the seal never publishes stale bytes.
-			if err := m.fetchBlockSync(b); err != nil {
+			if err := m.fetchBlockSync(l, b); err != nil {
 				return err
 			}
 		case StateReadOnly:
 		}
 		b.state = StateReadOnly
 	}
-	m.setProtObject(o, hostmmu.ProtRead)
+	m.setProtObject(l, o, hostmmu.ProtRead)
 	o.sealed = true
 	return nil
 }
@@ -340,7 +340,7 @@ func (m *Manager) sealReadOnly(o *Object) error {
 // kernel declared (WriteOnlyHint) that it fully overwrites the object, so
 // the host-dirty bytes are dead and the write-back DMA is elided. The
 // caller holds o.mu.
-func (m *Manager) invalidateUnflushed(o *Object) error {
+func (m *Manager) invalidateUnflushed(l *sim.Lane, o *Object) error {
 	elided := int64(0)
 	for _, b := range o.blocks {
 		if b.state == StateDirty {
@@ -352,7 +352,7 @@ func (m *Manager) invalidateUnflushed(o *Object) error {
 		m.noteFlushElisions(elided)
 	}
 	if o.proto != BatchUpdate {
-		m.setProtObject(o, hostmmu.ProtNone)
+		m.setProtObject(l, o, hostmmu.ProtNone)
 	}
 	return nil
 }
@@ -421,13 +421,13 @@ func (m *Manager) faultRunLen(b *Block) int {
 // overwrite the block, so Invalid bytes never DMA host-ward.
 //
 //adsm:noalloc
-func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
+func resolveFault(m *Manager, l *sim.Lane, b *Block, access hostmmu.Access) error {
 	// A fault on an object whose device is already known-lost degrades it in
 	// place: the host copy (stale or not) becomes authoritative, matching the
 	// drainEvictions sweep instead of failing the access.
 	before := b.state
-	if m.degradedLocked(b.obj) {
-		m.emitTransition(b, before)
+	if m.degradedLocked(l, b.obj) {
+		m.emitTransition(l, b, before)
 		return nil
 	}
 	switch b.state {
@@ -435,32 +435,32 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 		if access == hostmmu.AccessWrite && b.obj.mode == ModeWriteOnly {
 			m.noteFetchElisions(1)
 			b.state = StateDirty
-			m.setProt(b, hostmmu.ProtReadWrite)
-			m.emitTransition(b, before)
+			m.setProt(l, b, hostmmu.ProtReadWrite)
+			m.emitTransition(l, b, before)
 			return nil
 		}
 		n := m.faultRunLen(b)
 		if n == 1 {
-			if err := m.fetchBlockSync(b); err != nil {
-				m.emitTransition(b, before)
+			if err := m.fetchBlockSync(l, b); err != nil {
+				m.emitTransition(l, b, before)
 				return err
 			}
 			if access == hostmmu.AccessWrite {
 				b.state = StateDirty
-				m.setProt(b, hostmmu.ProtReadWrite)
+				m.setProt(l, b, hostmmu.ProtReadWrite)
 			} else {
 				b.state = StateReadOnly
-				m.setProt(b, hostmmu.ProtRead)
+				m.setProt(l, b, hostmmu.ProtRead)
 			}
-			m.emitTransition(b, before)
+			m.emitTransition(l, b, before)
 			return nil
 		}
 		// Span batch: fetch the whole Invalid run in one DMA. Prefetched
 		// blocks land ReadOnly — both copies match, and the next CPU write
 		// still faults — while the faulting block itself transitions by
 		// access kind exactly as the single-block path does.
-		if err := m.fetchRunSync(b, n); err != nil {
-			m.emitTransition(b, before)
+		if err := m.fetchRunSync(l, b, n); err != nil {
+			m.emitTransition(l, b, before)
 			return err
 		}
 		o := b.obj
@@ -469,21 +469,21 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 		}
 		if access == hostmmu.AccessWrite {
 			b.state = StateDirty
-			m.setProt(b, hostmmu.ProtReadWrite)
-			m.setProtRun(o.blocks[b.index+1], n-1, hostmmu.ProtRead)
+			m.setProt(l, b, hostmmu.ProtReadWrite)
+			m.setProtRun(l, o.blocks[b.index+1], n-1, hostmmu.ProtRead)
 		} else {
 			b.state = StateReadOnly
-			m.setProtRun(b, n, hostmmu.ProtRead)
+			m.setProtRun(l, b, n, hostmmu.ProtRead)
 		}
-		m.emitTransition(b, before)
+		m.emitTransition(l, b, before)
 		return nil
 	case StateReadOnly:
 		if access != hostmmu.AccessWrite {
 			return errReadFaultOnReadOnly(b.addr)
 		}
 		b.state = StateDirty
-		m.setProt(b, hostmmu.ProtReadWrite)
-		m.emitTransition(b, before)
+		m.setProt(l, b, hostmmu.ProtReadWrite)
+		m.emitTransition(l, b, before)
 		return nil
 	default: // StateDirty
 		return errFaultOnDirty(access, b.addr)
@@ -511,10 +511,10 @@ func errFaultOnDirty(access hostmmu.Access, addr mem.Addr) error {
 
 // emitTransition records a block state transition when tracing is on; the
 // hot path (no tracer) pays a single nil check and no deferred closure.
-func (m *Manager) emitTransition(b *Block, before State) {
+func (m *Manager) emitTransition(l *sim.Lane, b *Block, before State) {
 	if m.tracer == nil || b.state == before {
 		return
 	}
-	m.emit(trace.Event{Kind: trace.EvTransition, Addr: b.addr, Size: b.size,
+	m.emit(l, trace.Event{Kind: trace.EvTransition, Addr: b.addr, Size: b.size,
 		From: before.String(), To: b.state.String()})
 }

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/oplog"
+	"repro/internal/sim"
 )
 
 func init() {
@@ -33,15 +34,15 @@ func init() {
 	})
 }
 
-// record stamps op with the current virtual time, this manager's id and the
-// calling goroutine's host lane, and appends it to the flight ring, the
+// record stamps op with the current virtual time on host lane l, this
+// manager's id and l's identity (0 for the shared timeline), and appends it to the flight ring, the
 // capture ring (if capturing), and the online race detector (if enabled).
 //
 //adsm:noalloc
-func (m *Manager) record(op oplog.Op) {
-	op.At = m.clock.Now()
+func (m *Manager) record(l *sim.Lane, op oplog.Op) {
+	op.At = m.clock.NowOn(l)
 	op.Mgr = uint16(m.id)
-	op.Lane = m.clock.LaneID()
+	op.Lane = l.ID()
 	oplog.Flight().Record(op)
 	if r := m.rec.Load(); r != nil {
 		r.Record(op)

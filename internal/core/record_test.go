@@ -171,11 +171,11 @@ func TestRecordHotPathAllocs(t *testing.T) {
 	r := newRig(t, defaultCfg(RollingUpdate))
 	op := oplog.Op{Kind: oplog.OpFault, Flags: oplog.FlagWrite,
 		Obj: 3, Addr: 0x1234000, Size: 65536, Arg: int64(StateInvalid)}
-	if n := testing.AllocsPerRun(1000, func() { r.mgr.record(op) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { r.mgr.record(nil, op) }); n != 0 {
 		t.Fatalf("record allocates %.1f times per op without a recorder, want 0", n)
 	}
 	r.mgr.EnableRecorder(1 << 12)
-	if n := testing.AllocsPerRun(1000, func() { r.mgr.record(op) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { r.mgr.record(nil, op) }); n != 0 {
 		t.Fatalf("record allocates %.1f times per op with a recorder, want 0", n)
 	}
 }
@@ -204,6 +204,45 @@ func TestFaultPathAllocs(t *testing.T) {
 		off += 4 << 10
 	}); n != 0 {
 		t.Fatalf("fault path allocates %.1f times per fault with the detector off, want 0", n)
+	}
+}
+
+// TestLaneFaultPathAllocs is TestFaultPathAllocs on a host lane: the lane
+// rides through signal delivery, fault service, mprotect and record
+// without allocating, and the faults are charged to the lane, not to the
+// shared timeline.
+func TestLaneFaultPathAllocs(t *testing.T) {
+	cfg := defaultCfg(RollingUpdate)
+	cfg.BlockSize = 4 << 10
+	r := newRig(t, cfg)
+	ptr, err := r.mgr.Alloc(32 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := r.clock.Now()
+	before := r.mgr.Stats().WriteFaults
+	one := []byte{1}
+	off := int64(0)
+	ends := r.clock.InLanes(base, 1, func(_ int, l *sim.Lane) {
+		if n := testing.AllocsPerRun(1000, func() {
+			// Each write hits a fresh ReadOnly block: one write fault each.
+			if err := r.mgr.HostWriteOn(l, ptr+mem.Addr(off), one); err != nil {
+				t.Error(err)
+			}
+			off += 4 << 10
+		}); n != 0 {
+			t.Errorf("lane fault path allocates %.1f times per fault, want 0", n)
+		}
+		if got := r.clock.Now(); got != base {
+			t.Errorf("shared clock moved to %v inside the lane, want %v", got, base)
+		}
+	})
+	if got := r.mgr.Stats().WriteFaults - before; got != 1001 {
+		t.Fatalf("%d write faults, want 1001 (AllocsPerRun's warm-up plus 1000 runs)", got)
+	}
+	if ends[0] <= base || r.clock.Now() != ends[0] {
+		t.Fatalf("lane ended at %v from base %v, shared clock at %v: the faults were not charged to the lane",
+			ends[0], base, r.clock.Now())
 	}
 }
 

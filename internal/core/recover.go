@@ -63,13 +63,13 @@ func (m *Manager) retryBase() sim.Time {
 // exponential backoff charged to cat in virtual time (attempt i waits
 // RetryBase<<i). Non-injected errors and device-lost faults pass through
 // immediately; an exhausted budget returns the last fault wrapped.
-func (m *Manager) retry(cat sim.Category, what string, op func() error) error {
+func (m *Manager) retry(l *sim.Lane, cat sim.Category, what string, op func() error) error {
 	for attempt := 0; ; attempt++ {
 		err := op()
 		if err == nil {
 			return nil
 		}
-		again, ferr := m.retryStep(cat, what, attempt, err)
+		again, ferr := m.retryStep(l, cat, what, attempt, err)
 		if !again {
 			return ferr
 		}
@@ -85,38 +85,38 @@ func (m *Manager) retry(cat sim.Category, what string, op func() error) error {
 // an injected fault, so the whole step is //adsm:cold.
 //
 //adsm:cold
-func (m *Manager) retryStep(cat sim.Category, what string, attempt int, err error) (again bool, _ error) {
+func (m *Manager) retryStep(l *sim.Lane, cat sim.Category, what string, attempt int, err error) (again bool, _ error) {
 	if !errors.Is(err, fault.ErrInjected) || errors.Is(err, fault.ErrDeviceLost) {
 		return false, err
 	}
 	if attempt >= m.maxRetries() {
 		m.stats.RetryGiveups.Add(1)
 		m.mets.retryGiveups.Inc()
-		m.record(oplog.Op{Kind: oplog.OpRetry, Flags: oplog.FlagGiveup,
+		m.record(l, oplog.Op{Kind: oplog.OpRetry, Flags: oplog.FlagGiveup,
 			Arg: int64(attempt), Note: oplog.NoteID(what)})
 		oplog.AutoDump("retry-giveup")
 		return false, fmt.Errorf("core: %s failed after %d retries: %w", what, attempt, err)
 	}
 	backoff := m.retryBase() << uint(attempt)
-	m.charge(cat, backoff)
+	m.charge(l, cat, backoff)
 	m.stats.Retries.Add(1)
 	m.mets.retries.Inc()
-	m.emit(trace.Event{Kind: trace.EvRetry, Note: what})
-	m.record(oplog.Op{Kind: oplog.OpRetry, Arg: int64(attempt), Note: oplog.NoteID(what)})
+	m.emit(l, trace.Event{Kind: trace.EvRetry, Note: what})
+	m.record(l, oplog.Op{Kind: oplog.OpRetry, Arg: int64(attempt), Note: oplog.NoteID(what)})
 	return true, nil
 }
 
 // markDeviceLost transitions the manager to the lost state (idempotent).
-func (m *Manager) markDeviceLost(cause error) {
+func (m *Manager) markDeviceLost(l *sim.Lane, cause error) {
 	if m.lost.Swap(true) {
 		return
 	}
 	m.stats.DeviceLostEvents.Add(1)
 	m.mets.deviceLost.Inc()
-	m.emit(trace.Event{Kind: trace.EvDeviceLost, Note: cause.Error()})
+	m.emit(l, trace.Event{Kind: trace.EvDeviceLost, Note: cause.Error()})
 	// Cause strings carry addresses and attempt counts — unbounded
 	// cardinality, so they are not interned into the note table.
-	m.record(oplog.Op{Kind: oplog.OpDeviceLost})
+	m.record(l, oplog.Op{Kind: oplog.OpDeviceLost})
 	oplog.AutoDump("device-lost")
 }
 
@@ -126,7 +126,7 @@ func (m *Manager) markDeviceLost(cause error) {
 // device loss.
 //
 //adsm:cold
-func (m *Manager) degradeObjectLocked(o *Object) {
+func (m *Manager) degradeObjectLocked(l *sim.Lane, o *Object) {
 	if o.dead || o.degraded.Load() {
 		return
 	}
@@ -135,21 +135,21 @@ func (m *Manager) degradeObjectLocked(o *Object) {
 		b.state = StateDirty
 	}
 	if m.cfg.Protocol != BatchUpdate {
-		m.setProtObject(o, hostmmu.ProtReadWrite)
+		m.setProtObject(l, o, hostmmu.ProtReadWrite)
 	}
 	o.degraded.Store(true)
 	m.stats.DegradedObjects.Add(1)
 	m.mets.degraded.Inc()
-	m.emit(trace.Event{Kind: trace.EvDegrade, Addr: o.addr, Size: o.size})
-	m.record(oplog.Op{Kind: oplog.OpDegrade, Obj: o.seq, Addr: o.addr, Size: o.size})
+	m.emit(l, trace.Event{Kind: trace.EvDegrade, Addr: o.addr, Size: o.size})
+	m.record(l, oplog.Op{Kind: oplog.OpDegrade, Obj: o.seq, Addr: o.addr, Size: o.size})
 }
 
 // degradeAll degrades every live object; called once the device is lost.
 // Objects are locked one at a time (the no-two-Object.mu discipline).
-func (m *Manager) degradeAll() {
+func (m *Manager) degradeAll(l *sim.Lane) {
 	m.eachObject(func(o *Object) {
 		o.mu.Lock()
-		m.degradeObjectLocked(o)
+		m.degradeObjectLocked(l, o)
 		o.mu.Unlock()
 	})
 }
@@ -160,12 +160,12 @@ func (m *Manager) degradeAll() {
 // degradation is a blessed cold call.
 //
 //adsm:noalloc
-func (m *Manager) degradedLocked(o *Object) bool {
+func (m *Manager) degradedLocked(l *sim.Lane, o *Object) bool {
 	if o.degraded.Load() {
 		return true
 	}
 	if m.lost.Load() {
-		m.degradeObjectLocked(o)
+		m.degradeObjectLocked(l, o)
 		return true
 	}
 	return false
@@ -178,16 +178,16 @@ func (m *Manager) degradedLocked(o *Object) bool {
 // o.mu. Device loss is terminal, so the whole escalation is cold.
 //
 //adsm:cold
-func (m *Manager) escalateLocked(o *Object, what string, err error) error {
-	m.markDeviceLost(err)
-	m.degradeObjectLocked(o)
+func (m *Manager) escalateLocked(l *sim.Lane, o *Object, what string, err error) error {
+	m.markDeviceLost(l, err)
+	m.degradeObjectLocked(l, o)
 	return m.wrapLost(what, err)
 }
 
 // escalateDevice is escalateLocked without an object in hand (kernel
 // launches): objects degrade lazily at the next entry point.
-func (m *Manager) escalateDevice(what string, err error) error {
-	m.markDeviceLost(err)
+func (m *Manager) escalateDevice(l *sim.Lane, what string, err error) error {
+	m.markDeviceLost(l, err)
 	return m.wrapLost(what, err)
 }
 

@@ -24,7 +24,7 @@ import (
 func (m *Manager) AcquireRegion(addrs ...mem.Addr) error {
 	m.callMu.Lock()
 	defer m.callMu.Unlock()
-	m.drainEvictions()
+	m.drainEvictions(nil)
 	if err := m.checkDeviceLost("region-acquire"); err != nil {
 		return err
 	}
@@ -32,8 +32,8 @@ func (m *Manager) AcquireRegion(addrs ...mem.Addr) error {
 	if err != nil {
 		return err
 	}
-	sp := m.beginSpan("region-acquire", "")
-	defer m.endSpan(sp)
+	sp := m.beginSpan(nil, "region-acquire", "")
+	defer m.endSpan(nil, sp)
 	m.recordRegion(oplog.OpRegionAcquire, addrs)
 	stall := m.dev.Synchronize()
 	m.book(sim.CatGPU, stall)
@@ -57,7 +57,7 @@ func (m *Manager) AcquireRegion(addrs ...mem.Addr) error {
 func (m *Manager) ReleaseRegion(addrs ...mem.Addr) error {
 	m.callMu.Lock()
 	defer m.callMu.Unlock()
-	m.drainEvictions()
+	m.drainEvictions(nil)
 	if err := m.checkDeviceLost("region-release"); err != nil {
 		return err
 	}
@@ -65,8 +65,8 @@ func (m *Manager) ReleaseRegion(addrs ...mem.Addr) error {
 	if err != nil {
 		return err
 	}
-	sp := m.beginSpan("region-release", "")
-	defer m.endSpan(sp)
+	sp := m.beginSpan(nil, "region-release", "")
+	defer m.endSpan(nil, sp)
 	m.recordRegion(oplog.OpRegionRelease, addrs)
 	for _, o := range objs {
 		o.mu.Lock()
@@ -109,9 +109,9 @@ func (m *Manager) regionObjects(addrs []mem.Addr) ([]*Object, error) {
 // scope op carrying the pointer count.
 func (m *Manager) recordRegion(kind oplog.Kind, addrs []mem.Addr) {
 	for _, addr := range addrs {
-		m.record(oplog.Op{Kind: oplog.OpRegionPtr, Obj: m.seqAt(addr), Addr: addr})
+		m.record(nil, oplog.Op{Kind: oplog.OpRegionPtr, Obj: m.seqAt(addr), Addr: addr})
 	}
-	m.record(oplog.Op{Kind: kind, Arg: int64(len(addrs))})
+	m.record(nil, oplog.Op{Kind: kind, Arg: int64(len(addrs))})
 }
 
 // acquireRegionObject fetches o's Invalid blocks so the host copy is valid.
@@ -129,7 +129,7 @@ func (m *Manager) acquireRegionObject(o *Object) error {
 		if b.state != StateInvalid {
 			continue
 		}
-		if err := m.fetchBlockSync(b); err != nil {
+		if err := m.fetchBlockSync(nil, b); err != nil {
 			return err
 		}
 		if o.proto == BatchUpdate {
@@ -138,7 +138,7 @@ func (m *Manager) acquireRegionObject(o *Object) error {
 			b.state = StateDirty
 		} else {
 			b.state = StateReadOnly
-			m.setProt(b, hostmmu.ProtRead)
+			m.setProt(nil, b, hostmmu.ProtRead)
 		}
 	}
 	return nil
@@ -159,16 +159,16 @@ func (m *Manager) releaseRegionObject(o *Object) error {
 			// Publish now, but keep the block Dirty: batch-update has no
 			// access detection and must conservatively re-send at the next
 			// kernel call.
-			if err := m.flushBlockSync(b); err != nil {
+			if err := m.flushBlockSync(nil, b); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := m.flushBlockEager(b); err != nil {
+		if err := m.flushBlockEager(nil, b); err != nil {
 			return err
 		}
 		b.state = StateReadOnly
-		m.setProt(b, hostmmu.ProtRead)
+		m.setProt(nil, b, hostmmu.ProtRead)
 	}
 	return nil
 }

@@ -65,6 +65,9 @@ func (a Access) String() string {
 type Fault struct {
 	Addr   mem.Addr // faulting address (page-aligned down by the handler if desired)
 	Access Access
+	// Lane is the host lane of the faulting access, which the handler
+	// charges its service to; nil means the shared timeline.
+	Lane *sim.Lane
 }
 
 // FaultHandler resolves a protection violation. A handler that returns an
@@ -314,12 +317,12 @@ func (m *MMU) Protection(addr mem.Addr) (Prot, bool) {
 // read fault for every page that does not permit reads. It returns once
 // the whole range is readable.
 func (m *MMU) CheckRead(addr mem.Addr, size int64) error {
-	return m.check(addr, size, AccessRead)
+	return m.Check(nil, addr, size, AccessRead)
 }
 
 // CheckWrite is CheckRead for write access.
 func (m *MMU) CheckWrite(addr mem.Addr, size int64) error {
-	return m.check(addr, size, AccessWrite)
+	return m.Check(nil, addr, size, AccessWrite)
 }
 
 func (m *MMU) allows(prot Prot, access Access) bool {
@@ -331,7 +334,10 @@ func (m *MMU) allows(prot Prot, access Access) bool {
 	}
 }
 
-func (m *MMU) check(addr mem.Addr, size int64, access Access) error {
+// Check is CheckRead or CheckWrite (by access) for an access made on host
+// lane l: signal delivery is charged to l, and every delivered Fault
+// carries l to the handler. A nil l is the shared timeline.
+func (m *MMU) Check(l *sim.Lane, addr mem.Addr, size int64, access Access) error {
 	if size < 0 {
 		return fmt.Errorf("hostmmu: negative access size %d", size)
 	}
@@ -355,7 +361,7 @@ func (m *MMU) check(addr mem.Addr, size int64, access Access) error {
 				return fmt.Errorf("%w: page %#x stuck at %s for %s",
 					ErrFaultLoop, uint64(page), prot, access)
 			}
-			if err := m.deliver(Fault{Addr: page, Access: access}); err != nil {
+			if err := m.deliver(Fault{Addr: page, Access: access, Lane: l}); err != nil {
 				return err
 			}
 		}
@@ -373,7 +379,7 @@ func (m *MMU) deliver(f Fault) error {
 		m.readFaults.Add(1)
 	}
 	m.signalTime.Add(int64(m.signalCost))
-	m.clock.Advance(m.signalCost)
+	m.clock.AdvanceOn(f.Lane, m.signalCost)
 	if m.breakdown != nil {
 		m.breakdown.Add(sim.CatSignal, m.signalCost)
 	}

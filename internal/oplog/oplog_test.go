@@ -28,7 +28,7 @@ func randomLog(rng *rand.Rand) *Log {
 	at := sim.Time(rng.Int63n(1 << 30))
 	n := rng.Intn(200)
 	for i := 0; i < n; i++ {
-		// Timestamps wobble slightly backwards sometimes: per-goroutine
+		// Timestamps wobble slightly backwards sometimes: per-worker
 		// clock lanes make the merged stream only nearly monotonic, and
 		// the delta encoding must survive that.
 		at += sim.Time(rng.Int63n(1000) - 50)

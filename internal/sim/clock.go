@@ -53,36 +53,27 @@ func DurationFromSeconds(s float64) Time { return Time(s * 1e9) }
 // flight (concurrent fault handling, parallel multi-GPU dispatch) each
 // goroutine's charges land atomically, so the timeline stays monotonic and
 // no charge is lost. Single-threaded runs see exactly the sequential
-// semantics.
+// semantics. Host hardware threads running in parallel charge their own
+// Lanes instead (see InLanes).
 type Clock struct {
-	now   atomic.Int64
-	lanes laneSet
+	now atomic.Int64
 }
 
 // NewClock returns a clock starting at virtual time zero.
 func NewClock() *Clock { return &Clock{} }
 
-// Now returns the current virtual time: the calling goroutine's lane time
-// if it entered a lane (see EnterLane), the shared time otherwise.
-func (c *Clock) Now() Time {
-	if l := c.lanes.current(); l != nil {
-		return Time(l.now)
-	}
-	return Time(c.now.Load())
-}
+// Now returns the current shared virtual time.
+//
+//adsm:noalloc
+func (c *Clock) Now() Time { return Time(c.now.Load()) }
 
-// Advance moves the clock forward by d, which must be non-negative.
-// It models serial CPU work of duration d on the calling goroutine's
-// timeline (its lane if one is active, the shared timeline otherwise).
+// Advance moves the shared timeline forward by d, which must be
+// non-negative. It models serial CPU work of duration d.
 //
 //adsm:noalloc
 func (c *Clock) Advance(d Time) {
 	if d < 0 {
 		panicNegativeAdvance(d)
-	}
-	if l := c.lanes.current(); l != nil {
-		l.now += int64(d)
-		return
 	}
 	c.now.Add(int64(d))
 }
@@ -94,15 +85,12 @@ func panicNegativeAdvance(d Time) {
 	panic(fmt.Sprintf("sim: negative clock advance %d", d))
 }
 
-// AdvanceTo moves the clock forward to t. If t is in the past the clock is
-// unchanged: waiting for an already-completed event costs nothing.
+// AdvanceTo moves the shared timeline forward to t. If t is in the past
+// the clock is unchanged: waiting for an already-completed event costs
+// nothing.
+//
+//adsm:noalloc
 func (c *Clock) AdvanceTo(t Time) {
-	if l := c.lanes.current(); l != nil {
-		if int64(t) > l.now {
-			l.now = int64(t)
-		}
-		return
-	}
 	for {
 		now := c.now.Load()
 		if int64(t) <= now || c.now.CompareAndSwap(now, int64(t)) {

@@ -1,123 +1,127 @@
 package sim
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// A lane is a private timeline for one simulated host hardware thread.
+// A Lane is a private timeline for one simulated host hardware thread.
 //
 // The base Clock models a single-threaded host: Advance sums every
 // goroutine's CPU charges onto one timeline. The paper's testbed, however,
 // is a four-core machine, and GMAC's fault handling runs on whichever core
 // touched the shared object — concurrent fault storms on different objects
-// overlap on real hardware. EnterLane opts the calling goroutine into that
-// model: its charges accumulate on a private cursor seeded from the shared
-// time, and only merge back (AdvanceTo-max, i.e. parallel composition) at
-// ExitLane. Goroutines that never call EnterLane keep the exact sequential
-// semantics, so existing deterministic experiments are unaffected.
+// overlap on real hardware. InLanes models that: each worker gets a Lane
+// whose charges accumulate on a private cursor seeded from a common base
+// time, and the lanes merge back into the shared timeline (AdvanceTo-max,
+// i.e. parallel composition) when the workers finish.
 //
-// Lanes are keyed by goroutine, so the Clock API is unchanged for all
-// charging code: Manager, MMU, devices and engines charge the same Clock
-// and transparently land on the caller's lane when one is active.
-type lane struct {
+// A lane is a value its worker owns and passes down explicitly: every
+// charging entry point (the manager's access, fault, call and sync paths,
+// the MMU's signal delivery, device launches and DMA) takes a *Lane, and a
+// nil *Lane means the shared timeline. Code that never runs in a lane
+// passes nil and keeps the exact sequential semantics. A Lane is used by
+// its worker alone, and not after its InLanes call returns.
+type Lane struct {
 	now int64
-	// id is the lane's dense process-lifetime identity (1-based; 0 means
-	// "no lane"). Consumers that attribute work to host threads — the op
-	// stream's Op.Lane field, and the race detector built on it — use the
-	// id, not the goroutine id, so identities stay small and stable.
+	// id is the lane's identity within its InLanes call: worker i runs on
+	// lane i+1 (0 means "no lane"). Consumers that attribute work to host
+	// threads — the op stream's Op.Lane field, and the race detector built
+	// on it — use the id, so identities are small and independent of
+	// goroutine scheduling.
 	id uint32
 }
 
-// goid returns the calling goroutine's id, parsed from the runtime stack
-// header ("goroutine 123 [running]:"). Only taken on lane-aware paths, and
-// only when at least one lane is active.
-func goid() uint64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	// Skip "goroutine " (10 bytes), then read digits.
-	var id uint64
-	for _, ch := range buf[10:n] {
-		if ch < '0' || ch > '9' {
-			break
-		}
-		id = id*10 + uint64(ch-'0')
-	}
-	return id
-}
-
-// laneSet tracks the active lanes of a Clock. nactive lets the common
-// no-lanes case skip the goroutine-id lookup entirely.
-type laneSet struct {
-	nactive atomic.Int64
-	lanes   sync.Map // goid -> *lane
-	// seq issues dense lane ids; ids are never reused within a clock.
-	seq atomic.Uint32
-}
-
-//adsm:noalloc
-func (s *laneSet) current() *lane {
-	if s.nactive.Load() == 0 {
-		return nil
-	}
-	if v, ok := s.lanes.Load(goid()); ok { //adsm:allow noalloc: only reached with lanes active; the hot-path fault benchmarks run laneless and take the nactive fast path above
-		return v.(*lane)
-	}
-	return nil
-}
-
-// EnterLane gives the calling goroutine a private timeline seeded at the
-// current shared time, modelling one host hardware thread among several.
-// Until ExitLane, this goroutine's Advance/AdvanceTo charges accumulate on
-// the lane and its Now observes the lane, so independent goroutines'
-// charges compose in parallel rather than in series. Each EnterLane must
-// be paired with ExitLane on the same goroutine; lanes do not nest.
-//
-//adsm:lanewrapper
-func (c *Clock) EnterLane() { c.EnterLaneAt(Time(c.now.Load())) }
-
-// EnterLaneAt is EnterLane with an explicit seed time, for spawners that
-// capture one common base before starting their workers — that makes the
-// workers' timelines independent of goroutine scheduling order, keeping
-// runs deterministic.
-func (c *Clock) EnterLaneAt(t Time) {
-	c.lanes.lanes.Store(goid(), &lane{now: int64(t), id: c.lanes.seq.Add(1)})
-	c.lanes.nactive.Add(1)
-}
-
-// LaneID returns the calling goroutine's lane identity: a small dense id
-// assigned at EnterLane, or 0 when the goroutine runs on the shared
-// timeline. Goroutines that never enter a lane — the whole single-threaded
-// world — take the nactive fast path and never look up their goroutine id.
+// ID returns the lane's identity, or 0 for the shared timeline (nil).
 //
 //adsm:noalloc
-func (c *Clock) LaneID() uint32 {
-	if l := c.lanes.current(); l != nil {
-		return l.id
+func (l *Lane) ID() uint32 {
+	if l == nil {
+		return 0
 	}
-	return 0
+	return l.id
 }
 
-// ExitLane merges the calling goroutine's lane back into the shared
-// timeline: the shared clock advances to the lane's time if that is later
-// (waiting for the slowest hardware thread), and subsequent charges from
-// this goroutine revert to the shared timeline. It returns the lane's end
-// time so a coordinating goroutine can AdvanceTo the slowest worker on its
-// own timeline.
-func (c *Clock) ExitLane() Time {
-	v, ok := c.lanes.lanes.LoadAndDelete(goid())
-	if !ok {
-		return Time(c.now.Load())
+// Now returns the lane's current time.
+//
+//adsm:noalloc
+func (l *Lane) Now() Time { return Time(l.now) }
+
+// Advance moves the lane forward by d, which must be non-negative.
+//
+//adsm:noalloc
+func (l *Lane) Advance(d Time) {
+	if d < 0 {
+		panicNegativeAdvance(d)
 	}
-	c.lanes.nactive.Add(-1)
-	end := Time(v.(*lane).now)
-	// Merge on the shared timeline directly: the lane is gone, so this
-	// goroutine's AdvanceTo would otherwise race with a lane re-entry.
-	for {
-		now := c.now.Load()
-		if int64(end) <= now || c.now.CompareAndSwap(now, int64(end)) {
-			return end
-		}
+	l.now += int64(d)
+}
+
+// AdvanceTo moves the lane forward to t; a time in the past costs nothing.
+//
+//adsm:noalloc
+func (l *Lane) AdvanceTo(t Time) {
+	if int64(t) > l.now {
+		l.now = int64(t)
 	}
+}
+
+// InLanes runs fn(i, lane) for i in [0, n) on n goroutines, each on its own
+// lane seeded at base, and waits for them. Worker i runs on lane i+1,
+// assigned before any goroutine starts, so lane identities never depend on
+// scheduling. Each lane then merges into the shared timeline: the shared
+// clock advances to the latest lane end (waiting for the slowest hardware
+// thread). InLanes returns every lane's end time, indexed by worker.
+//
+// Spawners capture base once before the call (typically c.Now()), which
+// makes every worker's timeline independent of goroutine start order.
+func (c *Clock) InLanes(base Time, n int, fn func(i int, l *Lane)) []Time {
+	lanes := make([]Lane, n)
+	var wg sync.WaitGroup
+	for i := range lanes {
+		lanes[i] = Lane{now: int64(base), id: uint32(i + 1)}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i, &lanes[i])
+		}(i)
+	}
+	wg.Wait()
+	ends := make([]Time, n)
+	for i := range lanes {
+		ends[i] = Time(lanes[i].now)
+		c.AdvanceTo(ends[i])
+	}
+	return ends
+}
+
+// NowOn returns the time on lane l, or the shared time when l is nil.
+//
+//adsm:noalloc
+func (c *Clock) NowOn(l *Lane) Time {
+	if l != nil {
+		return Time(l.now)
+	}
+	return Time(c.now.Load())
+}
+
+// AdvanceOn charges d of serial CPU work to lane l, or to the shared
+// timeline when l is nil.
+//
+//adsm:noalloc
+func (c *Clock) AdvanceOn(l *Lane, d Time) {
+	if l != nil {
+		l.Advance(d)
+		return
+	}
+	c.Advance(d)
+}
+
+// AdvanceToOn moves lane l (or the shared timeline, when l is nil) forward
+// to t.
+//
+//adsm:noalloc
+func (c *Clock) AdvanceToOn(l *Lane, t Time) {
+	if l != nil {
+		l.AdvanceTo(t)
+		return
+	}
+	c.AdvanceTo(t)
 }

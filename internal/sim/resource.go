@@ -63,9 +63,12 @@ func panicNegativeWork(d Time, name string) {
 	panic(fmt.Sprintf("sim: negative work duration %d on %s", d, name))
 }
 
-// SubmitNow is Submit with earliest = clock.Now().
-func (r *Resource) SubmitNow(d Time) Completion {
-	return r.Submit(r.clock.Now(), d)
+// SubmitNow is Submit with earliest = the current time on lane l (the
+// shared time when l is nil).
+//
+//adsm:noalloc
+func (r *Resource) SubmitNow(l *Lane, d Time) Completion {
+	return r.Submit(r.clock.NowOn(l), d)
 }
 
 // FreeAt reports the time at which all currently queued work completes.
@@ -107,14 +110,17 @@ type Completion struct {
 // Done reports whether the work item has finished by time now.
 func (c Completion) Done(now Time) bool { return c.At <= now }
 
-// Wait advances the clock to the completion time and returns the time the
-// CPU spent stalled waiting (zero if the work already finished).
-func (c Completion) Wait(clock *Clock) Time {
-	stall := c.At - clock.Now()
+// Wait advances lane l (the clock's shared timeline when l is nil) to the
+// completion time and returns the time the CPU spent stalled waiting (zero
+// if the work already finished).
+//
+//adsm:noalloc
+func (c Completion) Wait(clock *Clock, l *Lane) Time {
+	stall := c.At - clock.NowOn(l)
 	if stall < 0 {
 		stall = 0
 	}
-	clock.AdvanceTo(c.At)
+	clock.AdvanceToOn(l, c.At)
 	return stall
 }
 

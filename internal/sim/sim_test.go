@@ -64,8 +64,8 @@ func TestClockMonotonicProperty(t *testing.T) {
 func TestResourceSerialisesWork(t *testing.T) {
 	c := NewClock()
 	r := NewResource("dma", c)
-	c1 := r.SubmitNow(100)
-	c2 := r.SubmitNow(50)
+	c1 := r.SubmitNow(nil, 100)
+	c2 := r.SubmitNow(nil, 50)
 	if c1.At != 100 {
 		t.Fatalf("first job completes at %v, want 100", c1.At)
 	}
@@ -75,12 +75,12 @@ func TestResourceSerialisesWork(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatalf("submission advanced CPU clock to %v", c.Now())
 	}
-	stall := c2.Wait(c)
+	stall := c2.Wait(c, nil)
 	if stall != 150 || c.Now() != 150 {
 		t.Fatalf("Wait: stall=%v now=%v, want 150/150", stall, c.Now())
 	}
 	// Waiting again costs nothing.
-	if s := c1.Wait(c); s != 0 {
+	if s := c1.Wait(c, nil); s != 0 {
 		t.Fatalf("re-wait stalled %v, want 0", s)
 	}
 }
@@ -88,9 +88,9 @@ func TestResourceSerialisesWork(t *testing.T) {
 func TestResourceIdleGap(t *testing.T) {
 	c := NewClock()
 	r := NewResource("dma", c)
-	r.SubmitNow(10)
+	r.SubmitNow(nil, 10)
 	c.Advance(100) // CPU works past the job's completion
-	done := r.SubmitNow(10)
+	done := r.SubmitNow(nil, 10)
 	if done.At != 110 {
 		t.Fatalf("job after idle gap completes at %v, want 110", done.At)
 	}
@@ -117,7 +117,7 @@ func TestResourceNegativeDurationPanics(t *testing.T) {
 			t.Fatal("Submit with negative duration did not panic")
 		}
 	}()
-	NewResource("x", NewClock()).SubmitNow(-1)
+	NewResource("x", NewClock()).SubmitNow(nil, -1)
 }
 
 func TestResourceOrderProperty(t *testing.T) {
@@ -129,7 +129,7 @@ func TestResourceOrderProperty(t *testing.T) {
 		var prev Time
 		var sum Time
 		for _, d := range durs {
-			done := r.SubmitNow(Time(d))
+			done := r.SubmitNow(nil, Time(d))
 			if done.At < prev {
 				return false
 			}
