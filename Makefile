@@ -64,13 +64,14 @@ bench-contended:
 # batched runs byte-identical to the unbatched oracle on every workload,
 # replay round trip, the sharded registry/MMU lane stress, and lane
 # determinism (each lane's op stream and the virtual time independent of
-# scheduling).
+# scheduling), and the op ring under concurrent writers.
 bench-conformance:
 	$(GO) test -race -count=1 -run 'Batching' ./internal/workloads
 	$(GO) test -race -count=1 \
 		-run 'TestRegistryConcurrentLanes|TestIntervalArray|TestRegShardMask|TestMMUConcurrentLanes|SpanFaultBatching' \
 		./internal/core ./internal/hostmmu
 	$(GO) test -race -count=1 -run 'TestInLanesDeterministic' ./gmac
+	$(GO) test -race -count=50 -run 'TestRingConcurrent|TestRingKeepsNewestOps' ./internal/oplog
 
 # The benchmark-regression gate: re-run the micro + figure suites and
 # compare against the committed baseline (see docs/performance.md).

@@ -4,21 +4,14 @@
 // actions happen only at kernel call and return boundaries; the host side
 // of that bargain is easy to violate in ways Go happily compiles:
 //
-//  1. Removed pre-Session wrappers. AllocFor/SafeAlloc/CallAnnotated/
-//     CallSync (and the MultiContext RegisterKernelAll/AllocOn/CallSync)
-//     no longer exist in the real gmac package; stubs, forks and stale
-//     branches that still declare them are flagged at every call site
-//     with the Session-API replacement (Alloc with options, Call with
-//     options).
-//
-//  2. Host reads racing an async kernel. A Call(..., Async()) returns
+//  1. Host reads racing an async kernel. A Call(..., Async()) returns
 //     before the kernel runs; reading its output (HostRead,
 //     MemcpyFromShared, WriteFile) before Sync() observes stale data.
 //     When the call annotates Writes(p...), only reads of those pointers
 //     are flagged; an unannotated async call taints every subsequent
 //     host read on that session until Sync.
 //
-//  3. Stale Safe pointers. Safe(p) pins the host mapping of p only until
+//  2. Stale Safe pointers. Safe(p) pins the host mapping of p only until
 //     the next kernel launch migrates the object; using the saved value
 //     after a later Call on the same session must be re-acquired.
 //
@@ -39,20 +32,8 @@ import (
 // Analyzer is the coherence analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "coherence",
-	Doc:  "flag removed gmac wrappers, async host reads before Sync, and stale Safe pointers",
+	Doc:  "flag async host reads before Sync and stale Safe pointers",
 	Run:  run,
-}
-
-// removed maps removed pre-Session gmac method names to their
-// replacements.
-var removed = map[string]string{
-	"AllocFor":          "Alloc(size, gmac.ForKernels(...))",
-	"SafeAlloc":         "Alloc(size, gmac.Safe())",
-	"CallAnnotated":     "Call(kernel, args, gmac.Writes(...))",
-	"CallSync":          "Call(kernel, args) followed by Sync()",
-	"RegisterKernel":    "Register(func() *gmac.Kernel {...})",
-	"RegisterKernelAll": "Register(func() *gmac.Kernel {...})",
-	"AllocOn":           "Alloc(size, gmac.OnDevice(dev))",
 }
 
 // hostReads are session methods that read shared memory into host space.
@@ -85,7 +66,7 @@ func run(pass *analysis.Pass) error {
 
 // event is one API interaction in source order.
 type event struct {
-	kind  string    // "removed", "call", "async", "sync", "read", "safe", "use", "assign"
+	kind  string    // "call", "async", "sync", "read", "safe", "use", "assign"
 	order token.Pos // position in evaluation order (a call sorts at its closing paren, after its arguments)
 	pos   ast.Node
 	recv  string         // receiver expression, textually
@@ -114,7 +95,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		switch ev.kind {
 		case "async":
 			async[ev.recv] = append(async[ev.recv], pending{write: ev.write, pos: ev.pos})
-		case "sync", "call", "removed":
+		case "sync", "call":
 			// A synchronous Call ends in Sync() (adsmCall+adsmSync), so it
 			// is a completion barrier for earlier async launches too.
 			delete(async, ev.recv)
@@ -142,7 +123,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			safe[ev.obj] = &safeVar{recv: ev.recv}
 		case "assign":
 			delete(safe, ev.obj) // reassigned: no longer a Safe result
-		case "removed", "call", "async":
+		case "call", "async":
 			for _, sv := range safe {
 				if sv.recv == ev.recv && sv.invalidated == nil {
 					sv.invalidated = ev.pos
@@ -249,19 +230,9 @@ func assignEvents(pass *analysis.Pass, as *ast.AssignStmt) []event {
 }
 
 // callEvent classifies one call expression as a coherence-relevant event.
-// Removed wrappers are reported directly here (they need no ordering
-// context) and also returned as "removed" events so they invalidate
-// Safe pointers like any other kernel launch.
 func callEvent(pass *analysis.Pass, call *ast.CallExpr) (event, bool) {
 	recv, name, ok := gmacMethod(pass, call)
 	if !ok {
-		return event{}, false
-	}
-	if hint, ok := removed[name]; ok {
-		pass.Reportf(call.Pos(), "%s was removed: use %s", name, hint)
-		if name == "CallSync" || name == "CallAnnotated" {
-			return event{kind: "removed", order: call.Rparen, pos: call, recv: recv, name: name}, true
-		}
 		return event{}, false
 	}
 	switch name {

@@ -1,21 +1,8 @@
-// Package basic exercises the coherence analyzer: removed wrappers,
-// async host reads before Sync, and stale Safe pointers.
+// Package basic exercises the coherence analyzer: async host reads
+// before Sync and stale Safe pointers.
 package basic
 
 import "gmac"
-
-// removedWrappers: every call site of a removed pre-Session wrapper is
-// flagged with its replacement.
-func removedWrappers(ctx *gmac.Context) {
-	_ = ctx.CallSync("saxpy", 1) // want `CallSync was removed: use Call\(kernel, args\) followed by Sync\(\)`
-	_, _ = ctx.SafeAlloc(4096)   // want `SafeAlloc was removed: use Alloc\(size, gmac.Safe\(\)\)`
-}
-
-// allowedRemoved: the escape hatch suppresses the finding.
-func allowedRemoved(ctx *gmac.Context) {
-	//adsm:allow coherence
-	_ = ctx.CallSync("saxpy", 1)
-}
 
 // asyncThenRead: reading kernel output before Sync observes stale data.
 func asyncThenRead(ctx *gmac.Context, p gmac.Ptr) {
@@ -23,6 +10,13 @@ func asyncThenRead(ctx *gmac.Context, p gmac.Ptr) {
 	_, _ = ctx.HostRead(p, 4) // want `HostRead on ctx may observe stale data`
 	_ = ctx.Sync()
 	_, _ = ctx.HostRead(p, 4) // after Sync: fine
+}
+
+// allowedAsyncRead: the escape hatch suppresses the finding.
+func allowedAsyncRead(ctx *gmac.Context, p gmac.Ptr) {
+	_ = ctx.Call("saxpy", nil, gmac.Async())
+	//adsm:allow coherence
+	_, _ = ctx.HostRead(p, 4)
 }
 
 // asyncWithWrites: only the annotated written pointers taint reads.

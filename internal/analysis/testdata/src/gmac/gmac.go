@@ -78,11 +78,3 @@ func (c *Context) MemcpyToShared(dst Ptr, src []byte) error { return nil }
 
 // MemcpyShared copies between shared objects (dst written, src read).
 func (c *Context) MemcpyShared(dst, src Ptr, n int64) error { return nil }
-
-// CallSync was removed from the real gmac API; the stub keeps the shape so
-// the analyzer's removed-name check is exercised against call sites.
-func (c *Context) CallSync(kernel string, args ...uint64) error { return nil }
-
-// SafeAlloc was removed from the real gmac API; kept here for the same
-// reason as CallSync.
-func (c *Context) SafeAlloc(size int64) (Ptr, error) { return c.last, nil }

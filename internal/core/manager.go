@@ -181,8 +181,11 @@ type Manager struct {
 	reg     registry
 	rolling *rollingCache
 	// stats are the aggregate counters, one atomic per counter
-	// (statsCounters); per-object counters are atomic too.
-	stats statsCounters
+	// (statsCounters); per-object counters are atomic too. The derived
+	// metric series read stats without pinning the manager, and lease
+	// retires them once it is collected (observe.go).
+	stats *statsCounters
+	lease *statsLease
 	// flushMu guards the eager-eviction double buffer: the completion
 	// times of the last two H2D transfers issued by flushRunEager
 	// (lastFlush newest). waitH2DSlot stalls only until prevFlush, so one
@@ -229,12 +232,9 @@ type Manager struct {
 	objSeq atomic.Uint32
 	// race is the optional online race detector (Config.RaceDetect), fed
 	// from record; nil when disabled so the hot path pays one nil check.
-	// racesDetected mirrors the detector's count for Stats (atomic — the
-	// detector reports under its own leaf lock in the hierarchy);
 	// raceDumped latches the one flight dump per manager.
-	race          *racecheck.Detector
-	racesDetected atomic.Int64
-	raceDumped    atomic.Bool
+	race       *racecheck.Detector
+	raceDumped atomic.Bool
 }
 
 // NewManager wires a manager to the host MMU, the host virtual address
@@ -259,6 +259,7 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		va:      va,
 		dev:     dev,
 		rolling: newRollingCache(cfg.FixedRolling, cfg.RollingDelta, cfg.FixedRolling > 0, !cfg.DisableCoalescing),
+		stats:   new(statsCounters),
 		mets:    newMetricSet(metrics.Default(), cfg.Protocol),
 		intro:   make(map[mem.Addr]*Object),
 	}
@@ -273,15 +274,15 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 	}
 	mmu.SetHandler(m.handleFault)
 	registerManager(m)
+	exportStats(m)
 	return m, nil
 }
 
-// onRace reacts to each race the online detector reports: it bumps the
-// stats mirror and the metrics counter, and the first race triggers a
-// flight dump (gated by ADSM_FLIGHT_DIR like every auto dump).
+// onRace reacts to each race the online detector reports: it counts the
+// race in Stats.RacesDetected, and the first race triggers a flight dump
+// (gated by ADSM_FLIGHT_DIR like every auto dump).
 func (m *Manager) onRace(racecheck.Race) {
-	m.racesDetected.Add(1)
-	m.mets.races.Inc()
+	m.stats.RacesDetected.Add(1)
 	if m.raceDumped.CompareAndSwap(false, true) {
 		oplog.AutoDump("race-detected")
 	}
@@ -306,11 +307,7 @@ func (m *Manager) Protocol() ProtocolKind { return m.cfg.Protocol }
 func (m *Manager) Device() *accel.Device { return m.dev }
 
 // Stats returns a copy of the activity counters.
-func (m *Manager) Stats() Stats {
-	s := m.stats.load()
-	s.RacesDetected = m.racesDetected.Load()
-	return s
-}
+func (m *Manager) Stats() Stats { return m.stats.load() }
 
 // RollingCapacity returns the current rolling size (0 for other protocols).
 func (m *Manager) RollingCapacity() int { return m.rolling.Capacity() }
@@ -564,7 +561,6 @@ func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 		m.rollingObjs.Add(1)
 	}
 	m.stats.Allocs.Add(1)
-	m.mets.allocs.Inc()
 	m.introAdd(o)
 	m.emit(nil, trace.Event{Kind: trace.EvAlloc, Addr: o.addr, Size: o.size})
 	var flags uint8
@@ -632,7 +628,6 @@ func (m *Manager) Free(addr mem.Addr) error {
 	err := m.dev.Free(phys)
 	m.book(sim.CatCudaFree, m.clock.Now()-t0)
 	m.stats.Frees.Add(1)
-	m.mets.frees.Inc()
 	m.introRemove(o)
 	m.emit(nil, trace.Event{Kind: trace.EvFree, Addr: o.addr, Size: o.size})
 	m.record(nil, oplog.Op{Kind: oplog.OpFree, Obj: o.seq, Addr: o.addr, Size: o.size})
@@ -888,7 +883,6 @@ func (m *Manager) invokeLocked(l *sim.Lane, kernel string, h CallHints, args []u
 		err = m.escalateDevice(l, "launch "+kernel, err)
 	}
 	m.stats.Invokes.Add(1)
-	m.mets.invokes.Inc()
 	return err
 }
 
@@ -914,7 +908,6 @@ func (m *Manager) syncLocked(l *sim.Lane) error {
 	stall := m.dev.SynchronizeOn(l)
 	m.book(sim.CatGPU, stall)
 	m.stats.Syncs.Add(1)
-	m.mets.syncs.Inc()
 	m.emit(l, trace.Event{Kind: trace.EvSync})
 	return m.acquireAll(l)
 }
@@ -952,12 +945,6 @@ func (m *Manager) handleFault(f hostmmu.Fault) error {
 		m.stats.ReadFaults.Add(1)
 	}
 	m.stats.SearchTime.Add(int64(search))
-	m.mets.faults.Inc()
-	if f.Access == hostmmu.AccessWrite {
-		m.mets.writeFaults.Inc()
-	} else {
-		m.mets.readFaults.Inc()
-	}
 	m.charge(l, sim.CatSignal, search)
 	if b == nil {
 		return errUnsharedFault(f.Addr)
@@ -1318,8 +1305,6 @@ func (m *Manager) fetchRunSync(l *sim.Lane, first *Block, n int) error {
 	m.recordD2H(o, size)
 	m.stats.FaultBatches.Add(1)
 	m.stats.PrefetchedBlocks.Add(int64(n - 1))
-	m.mets.faultBatches.Inc()
-	m.mets.prefetchedBlocks.Add(int64(n - 1))
 	if m.tracer != nil {
 		m.emit(l, trace.Event{Kind: trace.EvFetch, Addr: first.addr, Size: size, Note: "run"})
 	}
@@ -1332,8 +1317,6 @@ func (m *Manager) fetchRunSync(l *sim.Lane, first *Block, n int) error {
 func (m *Manager) recordH2D(o *Object, n int64) {
 	m.stats.BytesH2D.Add(n)
 	m.stats.TransfersH2D.Add(1)
-	m.mets.bytesH2D.Add(n)
-	m.mets.transfersH2D.Inc()
 	if o != nil {
 		o.counters.bytesH2D.Add(n)
 		o.counters.transfersH2D.Add(1)
@@ -1344,8 +1327,6 @@ func (m *Manager) recordH2D(o *Object, n int64) {
 func (m *Manager) recordD2H(o *Object, n int64) {
 	m.stats.BytesD2H.Add(n)
 	m.stats.TransfersD2H.Add(1)
-	m.mets.bytesD2H.Add(n)
-	m.mets.transfersD2H.Inc()
 	if o != nil {
 		o.counters.bytesD2H.Add(n)
 		o.counters.transfersD2H.Add(1)
@@ -1369,7 +1350,6 @@ type evictRun struct {
 // coalescing is enabled.
 func (m *Manager) noteEviction(l *sim.Lane, first *Block, n int) {
 	m.stats.Evictions.Add(int64(n))
-	m.mets.evictions.Add(int64(n))
 	first.obj.counters.evictions.Add(int64(n))
 	m.record(l, oplog.Op{Kind: oplog.OpEvict, Obj: first.obj.seq,
 		Addr: first.addr, Size: runSize(first, n), Arg: int64(n)})

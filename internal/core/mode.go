@@ -236,7 +236,6 @@ func (m *Manager) migrate(l *sim.Lane, o *Object, to ProtocolKind) error {
 	}
 	o.proto = to
 	m.stats.ModeMigrations.Add(1)
-	m.mets.modeMigrations.Inc()
 	m.record(l, oplog.Op{Kind: oplog.OpModeMigrate, Obj: o.seq, Addr: o.addr,
 		Size: o.size, Arg: int64(from)<<8 | int64(to)})
 	if m.tracer != nil {

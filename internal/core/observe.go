@@ -1,7 +1,11 @@
 package core
 
 import (
+	"reflect"
+	"regexp"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/mem"
@@ -10,29 +14,17 @@ import (
 )
 
 // This file wires the manager into the observability layer: the metric
-// handles it records into on hot paths, the per-object snapshot used by
-// the introspection endpoint's object table, and the process-wide registry
-// of recent managers that lets a debug server find live runtimes without
-// any plumbing through the experiment harnesses.
+// handles it records into on hot paths, the counter series derived from
+// Stats, the per-object snapshot used by the introspection endpoint's
+// object table, and the process-wide registry of recent managers that lets
+// a debug server find live runtimes without any plumbing through the
+// experiment harnesses.
 
-// metricSet caches the registry handles for one manager. Handles are
-// resolved once in NewManager; the record path is pure atomics. Counter
-// families that depend on protocol behaviour carry a {protocol=...} label
-// so runs under different protocols stay distinguishable; managers with
-// the same protocol share (aggregate into) the same metrics.
+// metricSet caches the registry handles for what Stats cannot express:
+// distributions and the rolling occupancy. Handles are resolved once in
+// NewManager; the record path is pure atomics. Each carries a
+// {protocol=...} label; managers with the same protocol share them.
 type metricSet struct {
-	faults, readFaults, writeFaults *metrics.Counter
-	bytesH2D, bytesD2H              *metrics.Counter
-	transfersH2D, transfersD2H      *metrics.Counter
-	evictions                       *metrics.Counter
-	allocs, frees, invokes, syncs   *metrics.Counter
-	retries, retryGiveups           *metrics.Counter
-	degraded, deviceLost            *metrics.Counter
-	modeMigrations                  *metrics.Counter
-	fetchElisions, flushElisions    *metrics.Counter
-	faultBatches, prefetchedBlocks  *metrics.Counter
-	races                           *metrics.Counter
-
 	faultNs     *metrics.Histogram
 	searchDepth *metrics.Histogram
 	rollingOcc  *metrics.Gauge
@@ -43,34 +35,92 @@ func newMetricSet(r *metrics.Registry, proto ProtocolKind) *metricSet {
 	p := proto.String()
 	lbl := func(name string) string { return metrics.Label(name, "protocol", p) }
 	return &metricSet{
-		faults:           r.Counter(lbl("adsm_faults_total")),
-		readFaults:       r.Counter(lbl("adsm_read_faults_total")),
-		writeFaults:      r.Counter(lbl("adsm_write_faults_total")),
-		bytesH2D:         r.Counter(lbl("adsm_bytes_h2d_total")),
-		bytesD2H:         r.Counter(lbl("adsm_bytes_d2h_total")),
-		transfersH2D:     r.Counter(lbl("adsm_transfers_h2d_total")),
-		transfersD2H:     r.Counter(lbl("adsm_transfers_d2h_total")),
-		evictions:        r.Counter(lbl("adsm_evictions_total")),
-		allocs:           r.Counter(lbl("adsm_allocs_total")),
-		frees:            r.Counter(lbl("adsm_frees_total")),
-		invokes:          r.Counter(lbl("adsm_invokes_total")),
-		syncs:            r.Counter(lbl("adsm_syncs_total")),
-		retries:          r.Counter(lbl("adsm_retries_total")),
-		retryGiveups:     r.Counter(lbl("adsm_retry_giveups_total")),
-		degraded:         r.Counter(lbl("adsm_degraded_objects_total")),
-		deviceLost:       r.Counter(lbl("adsm_device_lost_total")),
-		modeMigrations:   r.Counter(lbl("adsm_mode_migrations_total")),
-		fetchElisions:    r.Counter(lbl("adsm_fetch_elisions_total")),
-		flushElisions:    r.Counter(lbl("adsm_flush_elisions_total")),
-		faultBatches:     r.Counter(lbl("adsm_fault_batches_total")),
-		prefetchedBlocks: r.Counter(lbl("adsm_prefetched_blocks_total")),
-		races:            r.Counter(lbl("adsm_races_detected_total")),
-		faultNs:          r.Histogram(lbl("adsm_fault_service_ns"), metrics.LatencyBuckets),
-		searchDepth:      r.Histogram(lbl("adsm_search_depth_nodes"), metrics.DepthBuckets),
-		rollingOcc:       r.Gauge(lbl("adsm_rolling_occupancy")),
-		rollingHist:      r.Histogram(lbl("adsm_rolling_occupancy_blocks"), metrics.DepthBuckets),
+		faultNs:     r.Histogram(lbl("adsm_fault_service_ns"), metrics.LatencyBuckets),
+		searchDepth: r.Histogram(lbl("adsm_search_depth_nodes"), metrics.DepthBuckets),
+		rollingOcc:  r.Gauge(lbl("adsm_rolling_occupancy")),
+		rollingHist: r.Histogram(lbl("adsm_rolling_occupancy_blocks"), metrics.DepthBuckets),
 	}
 }
+
+// --- counter series derived from Stats ---
+
+// The adsm_*_total{protocol=...} series are function-backed counters that
+// sum one Stats counter over every manager of a protocol at scrape time:
+// live managers' statsCounters plus the retired totals that collected
+// managers folded into. Each event is counted once, in the manager's own
+// atomics; the totals stay exact and monotonic and pin no manager.
+var exported struct {
+	//adsm:lock exportedMu 70 nowait
+	mu      sync.Mutex
+	live    map[*statsCounters]ProtocolKind
+	retired [RollingUpdate + 1]Stats
+	once    [RollingUpdate + 1]sync.Once // registers a protocol's series
+}
+
+// statsLease is referenced only by its manager, so its finalizer runs once
+// the manager is unreachable. (The manager itself cannot carry the
+// finalizer: its MMU fault handler closes over it, and Go does not
+// finalize objects in reference cycles.)
+type statsLease struct {
+	c     *statsCounters
+	proto ProtocolKind
+}
+
+// exportStats adds m's counters to its protocol's adsm_*_total series.
+func exportStats(m *Manager) {
+	p := m.cfg.Protocol
+	exported.once[p].Do(func() {
+		keys, st := Stats{}.Counters(), reflect.TypeOf(Stats{})
+		for i := 0; i < st.NumField(); i++ {
+			name := st.Field(i).Name
+			if _, ok := keys[name]; ok {
+				series := metrics.Label(seriesName(name), "protocol", p.String())
+				metrics.Default().CounterFunc(series, func() int64 { return exportedTotal(p, i) })
+			}
+		}
+	})
+	m.lease = &statsLease{c: m.stats, proto: p}
+	exported.mu.Lock()
+	if exported.live == nil {
+		exported.live = make(map[*statsCounters]ProtocolKind)
+	}
+	exported.live[m.stats] = p
+	exported.mu.Unlock()
+	runtime.SetFinalizer(m.lease, (*statsLease).fold)
+}
+
+// fold moves a collected manager's final counts into the retired totals.
+func (l *statsLease) fold() {
+	s := l.c.load()
+	exported.mu.Lock()
+	exported.retired[l.proto] = exported.retired[l.proto].Add(s)
+	delete(exported.live, l.c)
+	exported.mu.Unlock()
+}
+
+// exportedTotal sums Stats field i over every manager of protocol p.
+func exportedTotal(p ProtocolKind, i int) int64 {
+	exported.mu.Lock()
+	defer exported.mu.Unlock()
+	v := reflect.ValueOf(&exported.retired[p]).Elem().Field(i).Int()
+	for c, q := range exported.live {
+		if q == p {
+			v += c.field(i).Load()
+		}
+	}
+	return v
+}
+
+// seriesName maps a Stats counter to its series name, FaultBatches to
+// adsm_fault_batches_total; DeviceLostEvents keeps adsm_device_lost_total.
+func seriesName(field string) string {
+	if field == "DeviceLostEvents" {
+		return "adsm_device_lost_total"
+	}
+	return "adsm_" + strings.ToLower(wordBreak.ReplaceAllString(field, "${1}_${2}")) + "_total"
+}
+
+var wordBreak = regexp.MustCompile(`([a-z])([A-Z])`)
 
 // ObjectSnapshot is one row of the introspection endpoint's object table.
 type ObjectSnapshot struct {

@@ -266,7 +266,7 @@ func (m *Manager) acquireObject(l *sim.Lane, o *Object) error {
 		// Replicated once: both copies are identical forever, so nothing
 		// travels. Under batch-update every block's return fetch is elided.
 		if o.proto == BatchUpdate {
-			m.noteFetchElisions(int64(len(o.blocks)))
+			m.stats.FetchElisions.Add(int64(len(o.blocks)))
 		}
 		return nil
 	}
@@ -279,7 +279,7 @@ func (m *Manager) acquireObject(l *sim.Lane, o *Object) error {
 			for _, b := range o.blocks {
 				b.state = StateDirty
 			}
-			m.noteFetchElisions(int64(len(o.blocks)))
+			m.stats.FetchElisions.Add(int64(len(o.blocks)))
 			break
 		}
 		// Transfer every block of the call's scope back and mark it dirty,
@@ -349,28 +349,12 @@ func (m *Manager) invalidateUnflushed(l *sim.Lane, o *Object) error {
 		b.state = StateInvalid
 	}
 	if elided > 0 {
-		m.noteFlushElisions(elided)
+		m.stats.FlushElisions.Add(elided)
 	}
 	if o.proto != BatchUpdate {
 		m.setProtObject(l, o, hostmmu.ProtNone)
 	}
 	return nil
-}
-
-// noteFetchElisions books n elided device-to-host block transfers: fetches
-// the object's access mode proved unnecessary.
-//
-//adsm:noalloc
-func (m *Manager) noteFetchElisions(n int64) {
-	m.stats.FetchElisions.Add(n)
-	m.mets.fetchElisions.Add(n)
-}
-
-// noteFlushElisions books n elided host-to-device block transfers: flushes
-// of dirty data a write-only declaration proved dead.
-func (m *Manager) noteFlushElisions(n int64) {
-	m.stats.FlushElisions.Add(n)
-	m.mets.flushElisions.Add(n)
 }
 
 // maxFaultRun caps a span-fault batch, mirroring maxEvictRun on the
@@ -433,7 +417,7 @@ func resolveFault(m *Manager, l *sim.Lane, b *Block, access hostmmu.Access) erro
 	switch b.state {
 	case StateInvalid:
 		if access == hostmmu.AccessWrite && b.obj.mode == ModeWriteOnly {
-			m.noteFetchElisions(1)
+			m.stats.FetchElisions.Add(1)
 			b.state = StateDirty
 			m.setProt(l, b, hostmmu.ProtReadWrite)
 			m.emitTransition(l, b, before)

@@ -91,7 +91,6 @@ func (m *Manager) retryStep(l *sim.Lane, cat sim.Category, what string, attempt 
 	}
 	if attempt >= m.maxRetries() {
 		m.stats.RetryGiveups.Add(1)
-		m.mets.retryGiveups.Inc()
 		m.record(l, oplog.Op{Kind: oplog.OpRetry, Flags: oplog.FlagGiveup,
 			Arg: int64(attempt), Note: oplog.NoteID(what)})
 		oplog.AutoDump("retry-giveup")
@@ -100,7 +99,6 @@ func (m *Manager) retryStep(l *sim.Lane, cat sim.Category, what string, attempt 
 	backoff := m.retryBase() << uint(attempt)
 	m.charge(l, cat, backoff)
 	m.stats.Retries.Add(1)
-	m.mets.retries.Inc()
 	m.emit(l, trace.Event{Kind: trace.EvRetry, Note: what})
 	m.record(l, oplog.Op{Kind: oplog.OpRetry, Arg: int64(attempt), Note: oplog.NoteID(what)})
 	return true, nil
@@ -112,7 +110,6 @@ func (m *Manager) markDeviceLost(l *sim.Lane, cause error) {
 		return
 	}
 	m.stats.DeviceLostEvents.Add(1)
-	m.mets.deviceLost.Inc()
 	m.emit(l, trace.Event{Kind: trace.EvDeviceLost, Note: cause.Error()})
 	// Cause strings carry addresses and attempt counts — unbounded
 	// cardinality, so they are not interned into the note table.
@@ -139,7 +136,6 @@ func (m *Manager) degradeObjectLocked(l *sim.Lane, o *Object) {
 	}
 	o.degraded.Store(true)
 	m.stats.DegradedObjects.Add(1)
-	m.mets.degraded.Inc()
 	m.emit(l, trace.Event{Kind: trace.EvDegrade, Addr: o.addr, Size: o.size})
 	m.record(l, oplog.Op{Kind: oplog.OpDegrade, Obj: o.seq, Addr: o.addr, Size: o.size})
 }

@@ -121,7 +121,7 @@ func (m *Manager) acquireRegionObject(o *Object) error {
 		// The host never reads o: fetching would DMA data the host is about
 		// to overwrite.
 		if n := int64(o.countState(StateInvalid)); n > 0 {
-			m.noteFetchElisions(n)
+			m.stats.FetchElisions.Add(n)
 		}
 		return nil
 	}

@@ -117,9 +117,15 @@ func (c *statsCounters) load() Stats {
 		if !f.IsValid() {
 			panic(fmt.Sprintf("core: statsCounters field %s has no Stats counterpart", name))
 		}
-		f.SetInt(cv.Field(i).Addr().Interface().(*atomic.Int64).Load())
+		f.SetInt(c.field(i).Load())
 	}
 	return out
+}
+
+// field returns the counter at field index i (the same index as in Stats,
+// TestStatsCountersParity).
+func (c *statsCounters) field(i int) *atomic.Int64 {
+	return reflect.ValueOf(c).Elem().Field(i).Addr().Interface().(*atomic.Int64)
 }
 
 // Sub returns the difference s - base, counter by counter. Experiment

@@ -28,6 +28,7 @@ func corpusFiles(t *testing.T) []string {
 // real application op stream doubles as a chaos scenario. Transparent
 // retries must absorb each injection — the replay completes, the
 // invariants hold, and nothing escalates to device loss or degradation.
+// The fault-free schedule must also reproduce every recorded Stats total.
 func TestChaosCorpusReplay(t *testing.T) {
 	files := corpusFiles(t)
 	if len(files) == 0 {
@@ -37,6 +38,7 @@ func TestChaosCorpusReplay(t *testing.T) {
 		name  string
 		rules []fault.Rule
 	}{
+		{"fault-free", nil},
 		{"dma-transient", []fault.Rule{
 			fault.Prob(fault.OpDMAH2D, 0.08, fault.KindTransient),
 			fault.Prob(fault.OpDMAD2H, 0.05, fault.KindTransient),
@@ -94,6 +96,11 @@ func TestChaosCorpusReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := ctx.Stats()
+				if sched.rules == nil {
+					if err := gmac.CompareTotals(l.Totals, st.Counters()); err != nil {
+						t.Errorf("fault-free replay: %v", err)
+					}
+				}
 				if st.RetryGiveups != 0 || st.DegradedObjects != 0 {
 					t.Errorf("recoverable schedule gave up: %+v", st)
 				}

@@ -29,9 +29,11 @@ import (
 
 // Counter is a monotonically increasing 64-bit counter. The zero value is
 // usable, but counters should be obtained from a Registry so they are
-// exported.
+// exported. A counter registered with CounterFunc reads its value from a
+// function instead.
 type Counter struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn func() int64
 }
 
 // Inc adds one.
@@ -42,7 +44,12 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c.fn != nil {
+		return c.fn()
+	}
+	return c.v.Load()
+}
 
 // Gauge is an instantaneous 64-bit value.
 type Gauge struct {
@@ -87,13 +94,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []int64 {
-	out := make([]int64, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
 
 // Bucket is one histogram bucket in a snapshot. Le is the inclusive upper
 // bound rendered as a decimal string, or "+inf" for the overflow bucket.
@@ -337,6 +337,19 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// CounterFunc registers a counter whose value every render (Snapshot,
+// WriteText, WriteOpenMetrics) reads from fn, for a fact already counted
+// elsewhere. fn must be monotonic and must not call into the registry,
+// which holds its lock while rendering. An existing name is left as is.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.counters[name]; !ok {
+		r.counters[name] = &Counter{fn: fn}
+		r.names.dirty = true
+	}
+}
+
 // Gauge returns the gauge with the given name, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
@@ -404,8 +417,8 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Reset zeroes every registered metric in place. Handles held by callers
-// stay valid. Experiment harnesses use it between runs.
+// Reset zeroes every recorded metric in place; function-backed counters
+// keep reporting their function. Handles held by callers stay valid.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -302,6 +302,43 @@ func TestRingConcurrent(t *testing.T) {
 	}
 }
 
+// TestRingKeepsNewestOps laps a small ring from many goroutines, so most
+// writers wait on a slot's previous op, and checks that it ends holding
+// exactly the newest ops: every slot full, and each writer's retained ops
+// a gap-free suffix of what it recorded. An op dropped or overwritten out
+// of order in the last lap would leave a gap or a stale op behind.
+func TestRingKeepsNewestOps(t *testing.T) {
+	r := NewRing(8)
+	const writers = 8
+	const perWriter = 5000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				r.Record(Op{Kind: OpHostRead, Mgr: uint16(w), Obj: uint32(i)})
+			}
+		}(w)
+	}
+	wg.Wait()
+	ops := r.Ops()
+	if len(ops) != r.Capacity() {
+		t.Fatalf("ring holds %d ops, want %d", len(ops), r.Capacity())
+	}
+	kept := map[uint16][]uint32{}
+	for _, op := range ops {
+		kept[op.Mgr] = append(kept[op.Mgr], op.Obj)
+	}
+	for w, objs := range kept {
+		for j, obj := range objs {
+			if want := uint32(perWriter - len(objs) + j); obj != want {
+				t.Fatalf("writer %d keeps ops %v, want the suffix ending at %d", w, objs, perWriter-1)
+			}
+		}
+	}
+}
+
 // TestRecordAllocs is the acceptance criterion: the record hot path must
 // not allocate.
 func TestRecordAllocs(t *testing.T) {

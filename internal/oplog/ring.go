@@ -1,6 +1,7 @@
 package oplog
 
 import (
+	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -8,27 +9,26 @@ import (
 	"repro/internal/sim"
 )
 
-// Ring is a fixed-size lock-free op ring. It serves both recorder roles:
+// Ring is a fixed-size, mutex-free op ring. It serves both recorder roles:
 //
 //   - the always-on flight recorder, where concurrent host goroutines
 //     record while the ring silently keeps only the most recent ops;
 //   - capture mode, where the ring is sized to hold a whole run and the
 //     harness asserts afterwards that nothing wrapped (core.FinishOpLog).
 //
-// The record path is wait-free and allocation-free: one fetch-add to claim
-// a slot, one swap to take ownership, seven plain atomic stores. Readers
-// (Ops, the introspection endpoint, flight dumps) run concurrently with
-// writers and discard slots they observe mid-write. A writer that laps the
-// ring onto a slot still being written by a slower lapped writer drops its
-// op and counts a collision rather than tearing the slot — with a ring
-// several orders of magnitude larger than the writer count, collisions are
-// vanishingly rare and only matter under deliberate overload.
+// The record path is allocation-free: one fetch-add to claim a sequence
+// number and slot, then seven plain atomic stores bracketed by the slot's
+// seq. Readers (Ops, the introspection endpoint, flight dumps) run
+// concurrently with writers and discard slots they observe mid-write.
+// Each slot takes its ops in sequence order: a writer that laps the ring
+// onto a slot whose previous op is not stored yet (its writer was
+// preempted, typically) yields until it is, so no op is ever dropped and
+// an older op never overwrites a newer one.
 type Ring struct {
-	slots      []slot
-	mask       uint64
-	pos        atomic.Uint64
-	collisions atomic.Uint64
-	header     atomic.Pointer[Header]
+	slots  []slot
+	mask   uint64
+	pos    atomic.Uint64
+	header atomic.Pointer[Header]
 }
 
 // slot holds one Op as seven atomic words, so readers and writers can
@@ -65,19 +65,20 @@ func NewRing(capacity int) *Ring {
 }
 
 // Record appends one op, overwriting the oldest once the ring is full.
-// Safe for any number of concurrent writers; wait-free; never allocates.
+// Safe for any number of concurrent writers; never allocates.
 //
 //adsm:noalloc
 func (r *Ring) Record(op Op) {
 	i := r.pos.Add(1) // 1-based global sequence number
 	s := &r.slots[(i-1)&r.mask]
-	if s.seq.Swap(slotWriting) == slotWriting {
-		// A lapped writer is still mid-store in this slot. Dropping this
-		// op preserves the other's integrity; the collision is counted so
-		// overloads are visible.
-		r.collisions.Add(1)
-		return
+	prev := uint64(0) // the op one lap earlier in this slot
+	if n := uint64(len(r.slots)); i > n {
+		prev = i - n
 	}
+	for s.seq.Load() != prev {
+		runtime.Gosched() //adsm:allow noalloc: Gosched only yields the processor; reached while a lapped writer finishes this slot
+	}
+	s.seq.Store(slotWriting)
 	s.at.Store(uint64(op.At))
 	s.kfmo.Store(uint64(op.Kind)<<56 | uint64(op.Flags)<<48 |
 		uint64(op.Mgr)<<32 | uint64(op.Obj))
@@ -91,7 +92,7 @@ func (r *Ring) Record(op Op) {
 // Capacity returns the number of ops the ring retains.
 func (r *Ring) Capacity() int { return len(r.slots) }
 
-// Total returns the number of ops ever recorded (including dropped ones).
+// Total returns the number of ops ever recorded.
 func (r *Ring) Total() uint64 { return r.pos.Load() }
 
 // Wrapped reports whether the ring has overwritten old ops: in capture
@@ -99,9 +100,10 @@ func (r *Ring) Total() uint64 { return r.pos.Load() }
 // raised.
 func (r *Ring) Wrapped() bool { return r.pos.Load() > uint64(len(r.slots)) }
 
-// Collisions returns how many ops were dropped because a lapped writer
-// still owned their slot.
-func (r *Ring) Collisions() uint64 { return r.collisions.Load() }
+// Collisions returns how many ops the ring dropped to concurrent writers:
+// always 0, since writers wait for their slot's previous op instead. It is
+// kept for the /adsm/oplog document's collisions field.
+func (r *Ring) Collisions() uint64 { return 0 }
 
 // SetHeader attaches the replay header describing the recorded
 // configuration.
@@ -120,7 +122,6 @@ func (r *Ring) Header() Header {
 // isolated runs.
 func (r *Ring) Reset() {
 	r.pos.Store(0)
-	r.collisions.Store(0)
 	for i := range r.slots {
 		s := &r.slots[i]
 		s.seq.Store(0)
