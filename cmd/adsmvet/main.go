@@ -1,7 +1,11 @@
 // adsmvet is the ADSM static-analysis multichecker: the analyzer suite
-// that mechanically enforces the repository's coherence, locking,
-// access-mode, and hot-path conventions (see docs/static-analysis.md),
-// interprocedurally via the callgraph summary engine.
+// that mechanically enforces the repository's conventions (see
+// docs/static-analysis.md), interprocedurally via the callgraph summary
+// engine — modecheck (the host-side access contract: access modes, async
+// reads before Sync, stale Safe pointers), lockorder (the core lock
+// hierarchy), noalloc (the allocation-free fault hot path), statecase
+// (exhaustive protocol-state switches), and allowcheck (the
+// //adsm:allow audit).
 //
 // It runs two ways:
 //
@@ -46,7 +50,7 @@ import (
 
 // version is the build identifier reported to cmd/go. It must not look
 // like a devel version or the go command refuses to cache vet results.
-const version = "v1.1.0"
+const version = "v1.2.0"
 
 func main() {
 	if err := analyzers.Validate(); err != nil {

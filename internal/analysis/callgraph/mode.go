@@ -6,32 +6,36 @@ import (
 )
 
 // The gmac Session host-access methods, mapped to the index of the
-// gmac.Ptr argument they touch. The modecheck analyzer and the summary
-// engine share these tables so "what counts as a host write" has one
-// definition.
+// gmac.Ptr argument they touch. These tables are the one definition of
+// "what counts as a host write or read": the summary engine builds its
+// parameter effects from them and the modecheck analyzer checks against
+// them.
 var (
 	hostWriteMethods = map[string]int{
 		"HostWrite":      0, // HostWrite(p Ptr, src []byte)
 		"Memset":         0, // Memset(p Ptr, b byte, n int64)
 		"MemcpyToShared": 0, // MemcpyToShared(dst Ptr, src []byte)
 		"MemcpyShared":   0, // MemcpyShared(dst, src Ptr, n int64): dst written
+		"ReadFile":       1, // ReadFile(f, p Ptr, n): file data lands in p
 	}
 	hostReadMethods = map[string]int{
 		"HostRead":         0, // HostRead(p Ptr, ...)
 		"MemcpyFromShared": 1, // MemcpyFromShared(dst []byte, src Ptr)
 		"MemcpyShared":     1, // src read
+		"WriteFile":        1, // WriteFile(f, p Ptr, n): p's bytes go to the file
 	}
 )
 
-// IsGmacPtr reports whether t is the shared-pointer type gmac.Ptr (keyed
-// on the package *name* so the analyzers' golden-test stub qualifies).
+// IsGmacPtr reports whether t is the shared-pointer type gmac.Ptr. That
+// is an alias of mem.Addr, so the check keys on the aliased type, by
+// package *name* so the analyzers' golden-test stub qualifies.
 func IsGmacPtr(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Ptr" && obj.Pkg() != nil && obj.Pkg().Name() == "gmac"
+	return obj.Name() == "Addr" && obj.Pkg() != nil && obj.Pkg().Name() == "mem"
 }
 
 // PtrEffect is one host access a call performs on a gmac.Ptr argument.

@@ -1,34 +1,42 @@
-// Package modecheck enforces the PR 7 access-mode contracts at vet time.
+// Package modecheck enforces gmac's host-side access contract at vet time.
 //
-// An allocation's AccessMode is a promise about host behaviour for the
-// object's whole lifetime: ReadOnly objects are sealed at their first
-// kernel release (a later host write fails with ErrModeViolation),
-// WriteOnly objects elide every device-to-host fetch (a host read of
-// device-written data fails the same way). The runtime enforces both —
-// but at run time, on the inputs that happen to execute. This analyzer
-// moves the common shapes of those failures to `make vet`:
+// ADSM's host side (Gelado et al., ASPLOS 2010, §3.1) may touch shared
+// data only between kernel call/return boundaries, and an allocation's
+// AccessMode refines that promise for the object's whole lifetime. The
+// runtime enforces all of it — but at run time, on the inputs that happen
+// to execute. This analyzer moves the common shapes of those failures to
+// `make vet`, in one walk over each function:
 //
 //   - a host write (HostWrite, Memset, MemcpyToShared, MemcpyShared dst,
-//     or a kernel Call annotated Writes) reaching a pointer allocated
-//     with gmac.Mode(gmac.ReadOnly);
-//   - a host read (HostRead, MemcpyFromShared, MemcpyShared src) of a
-//     pointer allocated gmac.Mode(gmac.WriteOnly) before any write has
-//     populated it;
-//   - a host read, through a helper, of a pointer an async kernel
-//     (Call with Writes and Async) may still be writing, before a Sync.
-//     Direct reads of async results are the coherence analyzer's
-//     diagnostic; modecheck adds the interprocedural case it cannot see.
+//     ReadFile, or a kernel Call annotated Writes) reaching a pointer
+//     allocated with gmac.Mode(gmac.ReadOnly): ReadOnly objects are sealed
+//     at their first kernel release (ErrModeViolation at run time);
+//   - a host read (HostRead, MemcpyFromShared, MemcpyShared src,
+//     WriteFile) of a pointer allocated gmac.Mode(gmac.WriteOnly) before
+//     any write has populated it: WriteOnly objects elide every
+//     device-to-host fetch;
+//   - a host read, directly or through a helper, of a pointer an async
+//     kernel (Call with Writes and Async) may still be writing, before a
+//     Sync or a synchronous Call on the launching receiver (a synchronous
+//     Call ends in Sync). An unannotated Async() Call taints every direct
+//     host read on its receiver the same way;
+//   - a Safe() translation used after a later Call on the same receiver:
+//     kernel launches may migrate the object, so the value must be
+//     re-acquired. Passing it into the launch itself is fine.
 //
-// Host accesses are resolved through the callgraph engine's summaries, so
-// a write buried two helpers deep is flagged at the outer call with the
+// What counts as a host read or write is the callgraph engine's table
+// (callgraph.PtrEffects), and helpers resolve through its summaries, so a
+// write buried two helpers deep is flagged at the outer call with the
 // chain down to the access. The tracking itself is deliberately local and
-// linear: a pointer is followed from its `p, err := s.Alloc(...)` site
-// through the statements of that function in source order, and tracking
-// stops — silently, never reporting — as soon as the pointer is
-// reassigned, aliased, taken by address, returned, or passed to a
-// function the engine has no summary for. Within those bounds every
-// diagnostic corresponds to a run-time ErrModeViolation (or a stale
-// read) on the path that executes the flagged statements in order.
+// linear: a gmac.Ptr variable is followed from its definition (an Alloc,
+// which fixes its mode, a parameter, or any other assignment, whose mode
+// is unknown) through the statements of that function in evaluation
+// order. Mode and async tracking stop — silently, never reporting — as
+// soon as the pointer is aliased, taken by address, returned, or passed
+// to a function the engine has no summary for; receivers are compared
+// textually. Within those bounds every diagnostic corresponds to a
+// run-time ErrModeViolation, a stale read, or a stale translation on the
+// path that executes the flagged statements in order.
 package modecheck
 
 import (
@@ -36,6 +44,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"sort"
 	"strconv"
 
 	"repro/internal/analysis"
@@ -45,7 +54,7 @@ import (
 // Analyzer is the modecheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "modecheck",
-	Doc:  "flag host accesses that violate gmac access-mode contracts (ReadOnly/WriteOnly/Async), through helpers",
+	Doc:  "flag host accesses that break the gmac access contract: access modes, async reads before Sync, stale Safe pointers",
 	Run:  run,
 }
 
@@ -54,13 +63,28 @@ func run(pass *analysis.Pass) error {
 	if err != nil {
 		return err
 	}
-	for _, n := range info.Nodes {
-		if n.Decl.Body == nil {
-			continue
-		}
-		c := &collector{pass: pass, info: info}
-		c.visit(n.Decl.Body, false)
-		process(pass, c.events)
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			var typ *ast.FuncType
+			var body *ast.BlockStmt
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				typ, body = fn.Type, fn.Body
+			case *ast.FuncLit:
+				typ, body = fn.Type, fn.Body
+			default:
+				return true
+			}
+			if body != nil {
+				c := &collector{pass: pass, info: info}
+				c.params(typ, body)
+				c.visit(body, false)
+				c.uses(body)
+				sort.SliceStable(c.events, func(i, j int) bool { return c.events[i].order < c.events[j].order })
+				process(pass, c.events)
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -68,29 +92,38 @@ func run(pass *analysis.Pass) error {
 type evKind int
 
 const (
-	evDefine      evKind = iota // p, err := s.Alloc(..., gmac.Mode(...))
-	evAccess                    // host write/read of a tracked pointer
-	evKernelWrite               // Call(..., gmac.Writes(p), [gmac.Async()])
-	evSync                      // s.Sync(): every pending async write lands
-	evKill                      // tracking ends: reassigned, aliased, escaped
+	evDefine evKind = iota // a pointer variable gets a new value
+	evKill                 // mode and async tracking end: aliased, escaped
+	evAccess               // host write/read, direct or through a helper
+	evLaunch               // recv.Call(...)
+	evSync                 // recv.Sync(): every pending async launch lands
+	evUse                  // a pointer variable is read
 )
 
-// event is one mode-relevant occurrence in source order.
+// event is one contract-relevant occurrence. Events are replayed in
+// evaluation order: a call takes effect at its closing paren, after its
+// receiver and arguments were read, and an assignment at its end, after
+// its right-hand side.
 type event struct {
-	pos       token.Pos
+	order     token.Pos
+	pos       token.Pos // where a diagnostic lands
 	kind      evKind
 	obj       types.Object
+	recv      string // receiver text: Launch, Sync, direct Access, and a Define from Safe()
 	mode      string // evDefine: "ReadOnly", "WriteOnly", or ""
 	write     bool   // evAccess
 	what      string // evAccess: underlying method name
+	arg       string // evAccess: the pointer expression
 	accessPos string // evAccess: where the underlying access sits
 	chain     []callgraph.SummaryFrame
-	async     bool // evKernelWrite
+	async     bool           // evLaunch
+	annotated bool           // evLaunch: has a Writes/WriteOnlyHint write set
+	writes    []types.Object // evLaunch: the written pointers
 }
 
-// collector walks one function body emitting events. The walk mirrors
-// callgraph.InspectInline's literal policy: nested function literals run
-// on their own schedule and are not part of this function's event order.
+// collector walks one function body emitting events. Nested function
+// literals run on their own schedule and are checked as functions of
+// their own.
 type collector struct {
 	pass   *analysis.Pass
 	info   *callgraph.Info
@@ -101,24 +134,28 @@ func (c *collector) add(e event) {
 	c.events = append(c.events, e)
 }
 
+// params starts tracking the function's gmac.Ptr parameters, mode unknown.
+func (c *collector) params(typ *ast.FuncType, body *ast.BlockStmt) {
+	for _, f := range typ.Params.List {
+		for _, id := range f.Names {
+			if obj := c.pass.TypesInfo.Defs[id]; obj != nil && callgraph.IsGmacPtr(obj.Type()) {
+				c.add(event{order: body.Lbrace, pos: id.Pos(), kind: evDefine, obj: obj})
+			}
+		}
+	}
+}
+
 // visit walks n. inCall marks positions inside call arguments, where bare
 // pointer identifiers are accounted for by call classification instead of
 // the conservative alias kill.
 func (c *collector) visit(n ast.Node, inCall bool) {
 	switch n := n.(type) {
-	case nil:
+	case nil, *ast.FuncLit:
 		return
-	case *ast.FuncLit:
-		return
-	case *ast.GoStmt:
-		// The goroutine's accesses are unordered against ours: stop
-		// tracking any pointer it captures.
-		c.killAllUnder(n)
-		return
-	case *ast.DeferStmt:
-		// Deferred work runs at returns, out of line with this walk; a
-		// deferred Sync in particular does NOT order before earlier
-		// statements. Stop tracking pointers it touches.
+	case *ast.GoStmt, *ast.DeferStmt:
+		// A goroutine's accesses are unordered against ours, and deferred
+		// work runs at returns — a deferred Sync in particular does NOT
+		// order before earlier statements. Stop tracking what they touch.
 		c.killAllUnder(n)
 		return
 	case *ast.AssignStmt:
@@ -130,22 +167,17 @@ func (c *collector) visit(n ast.Node, inCall bool) {
 	case *ast.UnaryExpr:
 		if n.Op == token.AND {
 			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && c.isPtrIdent(id) {
-				c.add(event{pos: n.Pos(), kind: evKill, obj: c.pass.TypesInfo.Uses[id]})
+				c.kill(id)
 				return
 			}
 		}
 	case *ast.Ident:
 		if !inCall && c.isPtrIdent(n) {
 			// Bare use outside a call: alias, comparison, return value.
-			c.add(event{pos: n.Pos(), kind: evKill, obj: c.pass.TypesInfo.Uses[n]})
+			c.kill(n)
 		}
 		return
 	}
-	c.children(n, inCall)
-}
-
-// children visits n's direct children with the same context.
-func (c *collector) children(n ast.Node, inCall bool) {
 	ast.Inspect(n, func(ch ast.Node) bool {
 		if ch == n {
 			return true
@@ -155,79 +187,63 @@ func (c *collector) children(n ast.Node, inCall bool) {
 	})
 }
 
-// killAllUnder emits a kill for every tracked-pointer identifier in the
-// subtree (conservative escape).
+func (c *collector) kill(id *ast.Ident) {
+	c.add(event{order: id.Pos(), pos: id.Pos(), kind: evKill, obj: c.pass.TypesInfo.Uses[id]})
+}
+
+// killAllUnder kills every tracked-pointer identifier in the subtree
+// (conservative escape).
 func (c *collector) killAllUnder(n ast.Node) {
 	ast.Inspect(n, func(ch ast.Node) bool {
 		if id, ok := ch.(*ast.Ident); ok && c.isPtrIdent(id) {
-			c.add(event{pos: id.Pos(), kind: evKill, obj: c.pass.TypesInfo.Uses[id]})
+			c.kill(id)
 		}
 		return true
 	})
 }
 
-// assign handles p, err := s.Alloc(...) defines, and kills tracking on any
-// other assignment touching a pointer.
+// assign gives every pointer variable it assigns a new value: an Alloc
+// result carries the declared mode, a Safe() result the translating
+// receiver, anything else is of unknown mode.
 func (c *collector) assign(n *ast.AssignStmt) {
-	if obj, mode, ok := c.allocDefine(n); ok {
-		c.add(event{pos: n.Pos(), kind: evDefine, obj: obj, mode: mode})
-		return
-	}
 	for _, rhs := range n.Rhs {
 		c.visit(rhs, false)
 	}
-	for _, lhs := range n.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok {
-			if c.isPtrIdent(id) && n.Tok == token.ASSIGN {
-				c.add(event{pos: id.Pos(), kind: evKill, obj: c.pass.TypesInfo.Uses[id]})
-			}
+	var mode, safeOn string
+	if call, ok := n.Rhs[0].(*ast.CallExpr); ok && len(n.Rhs) == 1 {
+		switch recv, name, _ := c.gmacMethod(call); name {
+		case "Alloc":
+			mode = c.allocModeOf(call)
+		case "Safe":
+			safeOn = recv
+		}
+	}
+	for i, lhs := range n.Lhs {
+		id, ok := lhs.(*ast.Ident)
+		if !ok {
+			c.visit(lhs, false)
 			continue
 		}
-		c.visit(lhs, false)
+		obj := c.pass.TypesInfo.Defs[id]
+		if obj == nil {
+			obj = c.pass.TypesInfo.Uses[id]
+		}
+		if obj == nil || !callgraph.IsGmacPtr(obj.Type()) {
+			continue
+		}
+		ev := event{order: n.End(), pos: n.Pos(), kind: evDefine, obj: obj}
+		if i == 0 {
+			ev.mode, ev.recv = mode, safeOn
+		}
+		c.add(ev)
 	}
-}
-
-// allocDefine recognizes `p, err := sess.Alloc(size, opts...)` with p
-// gmac.Ptr-typed, returning p's object and the declared mode ("" when no
-// gmac.Mode option is present — the pointer is still tracked for async
-// bookkeeping).
-func (c *collector) allocDefine(n *ast.AssignStmt) (types.Object, string, bool) {
-	if len(n.Rhs) != 1 || len(n.Lhs) == 0 {
-		return nil, "", false
-	}
-	call, ok := n.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil, "", false
-	}
-	fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
-	if fn == nil || fn.Name() != "Alloc" {
-		return nil, "", false
-	}
-	id, ok := n.Lhs[0].(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil, "", false
-	}
-	var obj types.Object
-	if n.Tok == token.DEFINE {
-		obj = c.pass.TypesInfo.Defs[id]
-	} else {
-		obj = c.pass.TypesInfo.Uses[id]
-	}
-	if obj == nil || !callgraph.IsGmacPtr(obj.Type()) {
-		return nil, "", false
-	}
-	return obj, c.allocModeOf(call), true
 }
 
 // allocModeOf extracts the gmac.Mode(...) option's constant, if any.
 func (c *collector) allocModeOf(call *ast.CallExpr) string {
 	for _, arg := range call.Args {
 		oc, ok := arg.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		ofn := analysis.CalleeFunc(c.pass.TypesInfo, oc)
-		if ofn == nil || ofn.Name() != "Mode" || ofn.Pkg() == nil || ofn.Pkg().Name() != "gmac" || len(oc.Args) != 1 {
+		if !ok || c.gmacFunc(oc) != "Mode" || len(oc.Args) != 1 {
 			continue
 		}
 		var sel *ast.Ident
@@ -240,7 +256,7 @@ func (c *collector) allocModeOf(call *ast.CallExpr) string {
 		if sel == nil {
 			continue
 		}
-		switch name := sel.Name; name {
+		switch sel.Name {
 		case "ReadOnly", "ModeReadOnly":
 			return "ReadOnly"
 		case "WriteOnly", "ModeWriteOnly":
@@ -251,44 +267,49 @@ func (c *collector) allocModeOf(call *ast.CallExpr) string {
 }
 
 // call classifies one call: host-access effects (direct methods or helper
-// summaries), kernel launches with Writes annotations, Sync barriers, and
-// pointer escapes into unsummarized callees.
+// summaries), kernel launches, Sync barriers, and pointer escapes into
+// unsummarized callees.
 func (c *collector) call(call *ast.CallExpr) {
 	info := c.pass.TypesInfo
 	consumed := map[ast.Expr]bool{}
+	recv, name, isGmac := c.gmacMethod(call)
 
 	for _, eff := range c.info.PtrEffects(call) {
-		id, ok := ast.Unparen(eff.Arg).(*ast.Ident)
-		if !ok {
-			continue
+		ev := event{order: call.Rparen, pos: call.Pos(), kind: evAccess,
+			write: eff.Write, what: eff.What, arg: types.ExprString(eff.Arg),
+			accessPos: eff.Pos, chain: eff.Chain}
+		if id, ok := ast.Unparen(eff.Arg).(*ast.Ident); ok {
+			ev.obj = info.Uses[id]
+			consumed[eff.Arg] = true
 		}
-		c.add(event{pos: call.Pos(), kind: evAccess, obj: info.Uses[id],
-			write: eff.Write, what: eff.What, accessPos: eff.Pos, chain: eff.Chain})
-		consumed[eff.Arg] = true
+		if isGmac {
+			ev.recv = recv
+		}
+		c.add(ev)
 	}
 
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		switch sel.Sel.Name {
-		case "Sync":
-			if len(call.Args) == 0 {
-				c.add(event{pos: call.Pos(), kind: evSync})
-			}
-		case "Call", "CallSync":
-			c.kernelCall(call, sel.Sel.Name == "CallSync", consumed)
-		}
+	switch {
+	case isGmac && name == "Sync":
+		c.add(event{order: call.Rparen, pos: call.Pos(), kind: evSync, recv: recv})
+	case isGmac && name == "Call":
+		c.launch(call, recv, consumed)
 	}
 
 	// Any pointer passed to a callee without a summary may be written,
 	// read, or retained there: stop tracking it. Callees the engine does
 	// know (module-local helpers, the gmac session API itself) already
-	// had their effects applied above.
+	// had their effects applied above. A conversion to an integer (a
+	// kernel argument) copies a value no host access goes through; one
+	// back to gmac.Ptr makes an alias.
 	neutral := false
-	if fn := analysis.CalleeFunc(info, call); fn != nil {
-		if fn.Pkg() != nil && fn.Pkg().Name() == "gmac" {
-			neutral = true
-		} else if c.info.Summary(fn) != nil {
-			neutral = true
+	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
+		if callgraph.IsGmacPtr(tv.Type) {
+			c.killAllUnder(call)
+			return
 		}
+		neutral = true
+	} else if fn := analysis.CalleeFunc(info, call); fn != nil {
+		neutral = fn.Pkg() != nil && fn.Pkg().Name() == "gmac" || c.info.Summary(fn) != nil
 	}
 	for _, arg := range call.Args {
 		if consumed[arg] {
@@ -296,7 +317,7 @@ func (c *collector) call(call *ast.CallExpr) {
 		}
 		if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 			if c.isPtrIdent(id) && !neutral {
-				c.add(event{pos: arg.Pos(), kind: evKill, obj: info.Uses[id]})
+				c.kill(id)
 			}
 			continue
 		}
@@ -304,52 +325,89 @@ func (c *collector) call(call *ast.CallExpr) {
 	}
 }
 
-// kernelCall handles sess.Call(kernel, args, opts...): a Writes(p) option
-// is a kernel write of p — immediate for synchronous calls, pending until
-// Sync when Async() is present.
-func (c *collector) kernelCall(call *ast.CallExpr, syncing bool, consumed map[ast.Expr]bool) {
-	info := c.pass.TypesInfo
-	async := false
-	var written []*ast.Ident
+// launch handles recv.Call(kernel, args, opts...): Async() leaves the
+// kernel running past the call, and Writes(p...)/WriteOnlyHint(p...)
+// declare its write set.
+func (c *collector) launch(call *ast.CallExpr, recv string, consumed map[ast.Expr]bool) {
+	ev := event{order: call.Rparen, pos: call.Pos(), kind: evLaunch, recv: recv}
 	for _, arg := range call.Args {
 		oc, ok := arg.(*ast.CallExpr)
 		if !ok {
 			continue
 		}
-		ofn := analysis.CalleeFunc(info, oc)
-		if ofn == nil || ofn.Pkg() == nil || ofn.Pkg().Name() != "gmac" {
-			continue
-		}
-		switch ofn.Name() {
+		switch c.gmacFunc(oc) {
 		case "Async":
-			async = true
-			consumed[arg] = true
+			ev.async = true
 		case "Writes", "WriteOnlyHint":
+			ev.annotated = true
 			for _, wa := range oc.Args {
 				if id, ok := ast.Unparen(wa).(*ast.Ident); ok && c.isPtrIdent(id) {
-					written = append(written, id)
+					ev.writes = append(ev.writes, c.pass.TypesInfo.Uses[id])
 				}
 			}
-			consumed[arg] = true
-		case "ReadOnlyHint":
-			consumed[arg] = true // kernel-side read: no host access
+		case "ReadOnlyHint": // kernel-side read: no host access
+		default:
+			continue
 		}
+		consumed[arg] = true
 	}
-	if syncing {
-		async = false
-	}
-	for _, id := range written {
-		c.add(event{pos: call.Pos(), kind: evKernelWrite, obj: info.Uses[id], async: async})
-	}
-	if syncing {
-		c.add(event{pos: call.End(), kind: evSync})
-	}
+	c.add(ev)
 }
 
-// isPtrIdent reports whether id names a gmac.Ptr-typed object.
+// uses emits a use for every pointer variable the body reads; bare
+// assignment targets are written, not read.
+func (c *collector) uses(body *ast.BlockStmt) {
+	targets := map[*ast.Ident]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok {
+					targets[id] = true
+				}
+			}
+		case *ast.Ident:
+			if !targets[n] && c.isPtrIdent(n) {
+				c.add(event{order: n.Pos(), pos: n.Pos(), kind: evUse, obj: c.pass.TypesInfo.Uses[n]})
+			}
+		}
+		return true
+	})
+}
+
+// isPtrIdent reports whether id names a gmac.Ptr-typed variable.
 func (c *collector) isPtrIdent(id *ast.Ident) bool {
-	obj := c.pass.TypesInfo.Uses[id]
-	return obj != nil && callgraph.IsGmacPtr(obj.Type())
+	v, ok := c.pass.TypesInfo.Uses[id].(*types.Var)
+	return ok && callgraph.IsGmacPtr(v.Type())
+}
+
+// gmacMethod matches recv.Name(...) where Name is a method declared in a
+// package named "gmac", returning the receiver rendered as source text.
+func (c *collector) gmacMethod(call *ast.CallExpr) (recv, name string, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
+	if !isSel || fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "gmac" {
+		return "", "", false
+	}
+	if sig, isSig := fn.Type().(*types.Signature); !isSig || sig.Recv() == nil {
+		return "", "", false
+	}
+	return types.ExprString(sel.X), sel.Sel.Name, true
+}
+
+// gmacFunc returns the name of the package-level gmac function being
+// called ("" otherwise): the Mode, Async and Writes options.
+func (c *collector) gmacFunc(call *ast.CallExpr) string {
+	fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "gmac" {
+		return ""
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return ""
+	}
+	return fn.Name()
 }
 
 // state is the per-pointer tracking record.
@@ -357,70 +415,112 @@ type state struct {
 	name     string
 	mode     string
 	allocPos string
+	escaped  bool   // aliased or escaped: mode and async facts are unknown
 	wrote    bool   // some write (host or kernel) has reached it
 	asyncAt  string // pending async kernel write's launch position
+	asyncOn  string // and its receiver
+	safeOn   string // receiver whose Safe() produced the value, or ""
+	staleAt  string // the later launch on safeOn that migrated it
+	reported bool   // stale use already reported
 }
 
-// process replays the events in source order, reporting contract
+// process replays the events in evaluation order, reporting contract
 // violations.
 func process(pass *analysis.Pass, events []event) {
 	vars := map[types.Object]*state{}
+	unannotated := map[string]string{} // receiver -> pending unannotated async launch
 	shortPos := func(p token.Pos) string {
 		pos := pass.Fset.Position(p)
 		return filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line)
 	}
+	// tracked is the pointer's state while its mode and async facts hold.
+	tracked := func(obj types.Object) *state {
+		if st := vars[obj]; st != nil && !st.escaped {
+			return st
+		}
+		return nil
+	}
+	// barrier lands every async launch on recv.
+	barrier := func(recv string) {
+		delete(unannotated, recv)
+		for _, st := range vars {
+			if st.asyncOn == recv {
+				st.asyncAt, st.asyncOn = "", ""
+			}
+		}
+	}
 	for _, e := range events {
 		switch e.kind {
 		case evDefine:
-			vars[e.obj] = &state{name: e.obj.Name(), mode: e.mode, allocPos: shortPos(e.pos)}
+			vars[e.obj] = &state{name: e.obj.Name(), mode: e.mode, allocPos: shortPos(e.pos), safeOn: e.recv}
 		case evKill:
-			delete(vars, e.obj)
+			if st := vars[e.obj]; st != nil {
+				st.escaped = true
+			}
 		case evSync:
+			barrier(e.recv)
+		case evLaunch:
+			at := shortPos(e.pos)
+			if !e.async {
+				barrier(e.recv) // a synchronous Call ends in Sync
+			} else if !e.annotated {
+				unannotated[e.recv] = at
+			}
 			for _, st := range vars {
-				st.asyncAt = ""
+				if st.safeOn == e.recv && st.staleAt == "" {
+					st.staleAt = at
+				}
 			}
-		case evKernelWrite:
-			st := vars[e.obj]
-			if st == nil {
-				break
-			}
-			if st.mode == "ReadOnly" {
-				pass.Reportf(e.pos,
-					"kernel declares Writes(%s), but %s is allocated gmac.ReadOnly at %s; ReadOnly objects are sealed after their first release (ErrModeViolation at run time)",
-					st.name, st.name, st.allocPos)
-			}
-			st.wrote = true
-			if e.async {
-				st.asyncAt = shortPos(e.pos)
-			}
-		case evAccess:
-			st := vars[e.obj]
-			if st == nil {
-				break
-			}
-			if e.write {
+			for _, obj := range e.writes {
+				st := tracked(obj)
+				if st == nil {
+					continue
+				}
 				if st.mode == "ReadOnly" {
-					pass.ReportChainf(e.pos,
-						callgraph.ChainStrings(e.chain, e.what+" "+st.name, e.accessPos),
-						"%s writes %s, which is allocated gmac.ReadOnly at %s; writes to ReadOnly objects fail with ErrModeViolation%s",
-						e.what, st.name, st.allocPos, callgraph.ViaSuffix(e.chain))
+					pass.Reportf(e.pos,
+						"kernel declares Writes(%s), but %s is allocated gmac.ReadOnly at %s; ReadOnly objects are sealed after their first release (ErrModeViolation at run time)",
+						st.name, st.name, st.allocPos)
 				}
 				st.wrote = true
+				if e.async {
+					st.asyncAt, st.asyncOn = at, e.recv
+				}
+			}
+		case evUse:
+			if st := vars[e.obj]; st != nil && st.staleAt != "" && !st.reported {
+				st.reported = true
+				pass.Reportf(e.pos,
+					"%s holds a Safe() pointer acquired before the Call at %s; kernel launches may migrate the object — re-acquire with Safe()",
+					st.name, st.staleAt)
+			}
+		case evAccess:
+			st := tracked(e.obj)
+			chain := callgraph.ChainStrings(e.chain, e.what+" "+e.arg, e.accessPos)
+			via := callgraph.ViaSuffix(e.chain)
+			if e.write {
+				if st != nil && st.mode == "ReadOnly" {
+					pass.ReportChainf(e.pos, chain,
+						"%s writes %s, which is allocated gmac.ReadOnly at %s; writes to ReadOnly objects fail with ErrModeViolation%s",
+						e.what, st.name, st.allocPos, via)
+				}
+				if st != nil {
+					st.wrote = true
+				}
 				break
 			}
-			if st.mode == "WriteOnly" && !st.wrote {
-				pass.ReportChainf(e.pos,
-					callgraph.ChainStrings(e.chain, e.what+" "+st.name, e.accessPos),
+			if st != nil && st.mode == "WriteOnly" && !st.wrote {
+				pass.ReportChainf(e.pos, chain,
 					"%s reads %s, which is allocated gmac.WriteOnly at %s and not yet written; reads of WriteOnly objects fail with ErrModeViolation%s",
-					e.what, st.name, st.allocPos, callgraph.ViaSuffix(e.chain))
+					e.what, st.name, st.allocPos, via)
 			}
-			if st.asyncAt != "" && len(e.chain) > 0 {
-				// Direct async reads are the coherence analyzer's
-				// diagnostic; only the helper-mediated read is new here.
-				pass.ReportChainf(e.pos,
-					callgraph.ChainStrings(e.chain, e.what+" "+st.name, e.accessPos),
+			launch := unannotated[e.recv]
+			if st != nil && st.asyncAt != "" {
+				launch = st.asyncAt
+			}
+			if launch != "" {
+				pass.ReportChainf(e.pos, chain,
 					"%s reads %s while the async kernel launched at %s may still be writing it; Sync first%s",
-					e.what, st.name, st.asyncAt, callgraph.ViaSuffix(e.chain))
+					e.what, e.arg, launch, via)
 			}
 		}
 	}

@@ -10,3 +10,7 @@ import (
 func TestBasic(t *testing.T) {
 	analysistest.Run(t, modecheck.Analyzer, "modecheck/basic")
 }
+
+func TestAsync(t *testing.T) {
+	analysistest.Run(t, modecheck.Analyzer, "modecheck/async")
+}

@@ -1,10 +1,12 @@
-// Package gmac is a minimal stand-in for repro/gmac used by the coherence
+// Package gmac is a minimal stand-in for repro/gmac used by the modecheck
 // analyzer's golden tests: the analyzer keys on the package *name* "gmac"
 // and on method/option names, so this stub carries just those shapes.
 package gmac
 
+import "mem"
+
 // Ptr is a shared-object host pointer.
-type Ptr uintptr
+type Ptr = mem.Addr
 
 // Kernel is an accelerator kernel registration.
 type Kernel struct{ Name string }
@@ -26,6 +28,9 @@ func WriteOnlyHint(ps ...Ptr) CallOption { return CallOption{kind: 3} }
 
 // ReadOnlyHint marks objects the kernel only reads.
 func ReadOnlyHint(ps ...Ptr) CallOption { return CallOption{kind: 4} }
+
+// File is an open host file (osabs.File in the real API).
+type File struct{}
 
 // AccessMode declares host-side access intent for a shared object.
 type AccessMode int
@@ -78,3 +83,9 @@ func (c *Context) MemcpyToShared(dst Ptr, src []byte) error { return nil }
 
 // MemcpyShared copies between shared objects (dst written, src read).
 func (c *Context) MemcpyShared(dst, src Ptr, n int64) error { return nil }
+
+// ReadFile reads n bytes of the file into a shared object (p written).
+func (c *Context) ReadFile(f *File, p Ptr, n int64) (int64, error) { return n, nil }
+
+// WriteFile writes n bytes of a shared object to the file (p read).
+func (c *Context) WriteFile(f *File, p Ptr, n int64) (int64, error) { return n, nil }

@@ -1,6 +1,7 @@
 // Package basic exercises the modecheck analyzer: host accesses that
 // violate the declared gmac access mode, directly, through local helper
-// chains, and through a sibling-package helper.
+// chains, and through a sibling-package helper. Async reads before Sync and
+// stale Safe pointers are in the sibling fixture modecheck/async.
 package basic
 
 import (
@@ -65,8 +66,7 @@ func fillDefault(s *gmac.Context) {
 }
 
 // asyncReadViaHelper reads, through a helper, an object an async kernel
-// may still be writing. Direct async reads are the coherence analyzer's
-// diagnostic; the helper-mediated one is modecheck's.
+// may still be writing.
 func asyncReadViaHelper(s *gmac.Context) {
 	p, _ := s.Alloc(64)
 	s.Call("k", nil, gmac.Writes(p), gmac.Async())
@@ -98,4 +98,11 @@ func reassigned(s *gmac.Context, src []byte) gmac.Ptr {
 	q := p
 	s.HostWrite(q, src)
 	return q
+}
+
+// readFileReadOnly reads a file into a ReadOnly object: ReadFile is a host
+// write of its destination.
+func readFileReadOnly(s *gmac.Context, f *gmac.File) {
+	p, _ := s.Alloc(64, gmac.Mode(gmac.ReadOnly))
+	s.ReadFile(f, p, 64) // want `ReadFile writes p, which is allocated gmac\.ReadOnly at basic\.go:\d+; writes to ReadOnly objects fail with ErrModeViolation`
 }

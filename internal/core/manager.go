@@ -211,13 +211,12 @@ type Manager struct {
 	mets *metricSet
 	// id is the process-wide construction sequence number.
 	id int
-	// intro indexes live objects for the introspection endpoint, and
-	// retired keeps the final rows of recently freed ones; both guarded by
-	// introMu because HTTP handlers read them from other goroutines.
+	// retired keeps the final rows of recently freed objects for the
+	// introspection endpoint (live rows come from the registry), guarded
+	// by introMu because HTTP handlers read it from other goroutines.
 	//
 	//adsm:lock introMu 46 nowait
 	introMu sync.Mutex
-	intro   map[mem.Addr]*Object
 	retired []ObjectSnapshot
 	// invokeKernel is the kernel currently being dispatched; protocols use
 	// it to honour §3.3 object-to-kernel bindings. Guarded by callMu.
@@ -261,7 +260,6 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		rolling: newRollingCache(cfg.FixedRolling, cfg.RollingDelta, cfg.FixedRolling > 0, !cfg.DisableCoalescing),
 		stats:   new(statsCounters),
 		mets:    newMetricSet(metrics.Default(), cfg.Protocol),
-		intro:   make(map[mem.Addr]*Object),
 	}
 	switch cfg.Protocol {
 	case BatchUpdate, LazyUpdate, RollingUpdate:
@@ -320,15 +318,11 @@ func (m *Manager) Objects() int {
 	return int(m.reg.nobjects.Load())
 }
 
-// SetTracer installs (or removes, with nil) an event log recording every
-// protocol action with virtual timestamps.
-func (m *Manager) SetTracer(l *trace.Log) { m.tracer = l }
-
 // SetSpanTracer installs (or removes, with nil) a span tracer. Its event
 // log becomes the manager's event sink, so one tracer captures both the
 // instantaneous protocol events and the timed spans around them.
 func (m *Manager) SetSpanTracer(t *trace.Tracer) {
-	m.spans = t
+	m.spans, m.tracer = t, nil
 	if t != nil {
 		m.tracer = t.Log()
 	}
@@ -561,7 +555,6 @@ func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 		m.rollingObjs.Add(1)
 	}
 	m.stats.Allocs.Add(1)
-	m.introAdd(o)
 	m.emit(nil, trace.Event{Kind: trace.EvAlloc, Addr: o.addr, Size: o.size})
 	var flags uint8
 	if o.safe {
@@ -628,7 +621,7 @@ func (m *Manager) Free(addr mem.Addr) error {
 	err := m.dev.Free(phys)
 	m.book(sim.CatCudaFree, m.clock.Now()-t0)
 	m.stats.Frees.Add(1)
-	m.introRemove(o)
+	m.retire(o)
 	m.emit(nil, trace.Event{Kind: trace.EvFree, Addr: o.addr, Size: o.size})
 	m.record(nil, oplog.Op{Kind: oplog.OpFree, Obj: o.seq, Addr: o.addr, Size: o.size})
 	return err

@@ -163,16 +163,18 @@ func snapshotObject(o *Object) ObjectSnapshot {
 // SnapshotObjects returns the live objects' static facts and counters plus
 // the most recently freed objects' final rows, ranked by fault/transfer
 // traffic (heaviest first). It is safe to call from any goroutine while
-// the run is in flight: the indexes are mutated only under introMu on
-// alloc/free, and the per-object counters are atomic.
+// the run is in flight: live rows come from the registry's published
+// views, the retired ring is guarded by introMu, and the per-object
+// counters are atomic.
 func (m *Manager) SnapshotObjects() []ObjectSnapshot {
+	live := m.reg.snapshot()
 	m.introMu.Lock()
-	out := make([]ObjectSnapshot, 0, len(m.intro)+len(m.retired))
-	for _, o := range m.intro {
-		out = append(out, snapshotObject(o))
-	}
+	out := make([]ObjectSnapshot, 0, len(live)+len(m.retired))
 	out = append(out, m.retired...)
 	m.introMu.Unlock()
+	for _, o := range live {
+		out = append(out, snapshotObject(o))
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if ti, tj := out[i].traffic(), out[j].traffic(); ti != tj {
 			return ti > tj
@@ -182,19 +184,12 @@ func (m *Manager) SnapshotObjects() []ObjectSnapshot {
 	return out
 }
 
-// introAdd registers o with the introspection index.
-func (m *Manager) introAdd(o *Object) {
-	m.introMu.Lock()
-	m.intro[o.addr] = o
-	m.introMu.Unlock()
-}
-
-// introRemove moves o from the live index to the retired ring.
-func (m *Manager) introRemove(o *Object) {
-	m.introMu.Lock()
-	delete(m.intro, o.addr)
+// retire keeps o's final row in the retired ring once it has left the
+// registry.
+func (m *Manager) retire(o *Object) {
 	s := snapshotObject(o)
 	s.Freed = true
+	m.introMu.Lock()
 	m.retired = append(m.retired, s)
 	if len(m.retired) > maxRetiredObjects {
 		m.retired = append(m.retired[:0:0], m.retired[len(m.retired)-maxRetiredObjects:]...)

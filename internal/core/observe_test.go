@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mem"
 	"repro/internal/metrics"
 )
 
@@ -178,4 +179,55 @@ func TestCounterSeriesSumStats(t *testing.T) {
 	check("after collection")
 	runtime.KeepAlive(a)
 	runtime.KeepAlive(c)
+}
+
+// TestSnapshotObjectsRows checks SnapshotObjects against the registry: one
+// live row per object, also for an object spanning several registry
+// shards, and a Freed row for a released one.
+func TestSnapshotObjectsRows(t *testing.T) {
+	r := newRig(t, defaultCfg(BatchUpdate))
+	small, err := r.mgr.Alloc(64 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bigSize = 3 << 20
+	big, err := r.mgr.Alloc(bigSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := map[int]bool{}
+	for a := big; a < big+bigSize; a += 1 << regGranuleBits {
+		shards[regShardOf(a)] = true
+	}
+	if len(shards) < 2 {
+		t.Fatalf("a %d-byte object covers %d registry shard(s); the test needs several", bigSize, len(shards))
+	}
+	gone, err := r.mgr.Alloc(64 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.mgr.Free(gone); err != nil {
+		t.Fatal(err)
+	}
+
+	live := map[mem.Addr]int{}
+	var freed []ObjectSnapshot
+	for _, row := range r.mgr.SnapshotObjects() {
+		if row.Freed {
+			freed = append(freed, row)
+			continue
+		}
+		live[row.Addr]++
+	}
+	if len(live) != r.mgr.Objects() {
+		t.Fatalf("%d live rows, Objects() = %d", len(live), r.mgr.Objects())
+	}
+	for _, addr := range []mem.Addr{small, big} {
+		if live[addr] != 1 {
+			t.Errorf("object %#x listed %d times, want once", uint64(addr), live[addr])
+		}
+	}
+	if len(freed) != 1 || freed[0].Addr != gone || freed[0].Size != 64<<10 {
+		t.Fatalf("freed rows = %+v, want one for %#x", freed, uint64(gone))
+	}
 }

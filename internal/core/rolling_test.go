@@ -109,8 +109,10 @@ func TestRollingCacheProperties(t *testing.T) {
 					rc.onAlloc()
 				default:
 					_ = rc.Len()
-					c := rc.Capacity()
+					// Read under capMu, so no goroutine compares a stale
+					// reading after another raised lastCap.
 					capMu.Lock()
+					c := rc.Capacity()
 					if c < lastCap {
 						t.Errorf("capacity shrank: %d after %d", c, lastCap)
 					}

@@ -60,7 +60,17 @@ func TestStatszQuantileColumns(t *testing.T) {
 }
 
 func TestOpLogEndpoint(t *testing.T) {
-	driveWorkload(t)
+	ctx := driveWorkload(t)
+	// One host write on lane 1 (worker 0), so the window holds a laned op.
+	p, err := ctx.Alloc(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.InLanes(1, func(_ int, ln *gmac.Lane) {
+		if err := ln.HostWrite(p, []byte{1}); err != nil {
+			t.Error(err)
+		}
+	})
 	srv, err := introspect.Start("localhost:0")
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +84,8 @@ func TestOpLogEndpoint(t *testing.T) {
 		Ops      []struct {
 			At   int64  `json:"at_ns"`
 			Kind string `json:"kind"`
+			Lane uint32 `json:"lane"`
+			Addr uint64 `json:"addr"`
 			Note string `json:"note,omitempty"`
 		} `json:"ops"`
 	}
@@ -85,8 +97,15 @@ func TestOpLogEndpoint(t *testing.T) {
 			doc.Capacity, doc.Total, len(doc.Ops))
 	}
 	kinds := map[string]bool{}
+	laned := false
 	for _, op := range doc.Ops {
 		kinds[op.Kind] = true
+		if op.Kind == "host-write" && op.Addr == uint64(p) {
+			laned = op.Lane == 1
+		}
+	}
+	if !laned {
+		t.Errorf("the host write on lane 1 is not reported with lane 1")
 	}
 	for _, want := range []string{"alloc", "invoke", "fault"} {
 		if !kinds[want] {

@@ -123,11 +123,10 @@ func handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // oplogDoc is the /adsm/oplog response body: the flight recorder's current
 // window rendered readably (kinds and notes resolved to strings).
 type oplogDoc struct {
-	Capacity   int       `json:"capacity"`
-	Total      uint64    `json:"total"`
-	Wrapped    bool      `json:"wrapped"`
-	Collisions uint64    `json:"collisions"`
-	Ops        []oplogOp `json:"ops"`
+	Capacity int       `json:"capacity"`
+	Total    uint64    `json:"total"`
+	Wrapped  bool      `json:"wrapped"`
+	Ops      []oplogOp `json:"ops"`
 }
 
 type oplogOp struct {
@@ -135,6 +134,7 @@ type oplogOp struct {
 	Kind  string `json:"kind"`
 	Flags uint8  `json:"flags,omitempty"`
 	Mgr   uint16 `json:"mgr"`
+	Lane  uint32 `json:"lane,omitempty"`
 	Obj   uint32 `json:"obj,omitempty"`
 	Addr  uint64 `json:"addr,omitempty"`
 	Size  int64  `json:"size,omitempty"`
@@ -146,11 +146,10 @@ func handleOpLog(w http.ResponseWriter, _ *http.Request) {
 	f := oplog.Flight()
 	ops := f.Ops()
 	doc := oplogDoc{
-		Capacity:   f.Capacity(),
-		Total:      f.Total(),
-		Wrapped:    f.Wrapped(),
-		Collisions: f.Collisions(),
-		Ops:        make([]oplogOp, len(ops)),
+		Capacity: f.Capacity(),
+		Total:    f.Total(),
+		Wrapped:  f.Wrapped(),
+		Ops:      make([]oplogOp, len(ops)),
 	}
 	for i, op := range ops {
 		doc.Ops[i] = oplogOp{
@@ -158,6 +157,7 @@ func handleOpLog(w http.ResponseWriter, _ *http.Request) {
 			Kind:  op.Kind.String(),
 			Flags: op.Flags,
 			Mgr:   op.Mgr,
+			Lane:  op.Lane,
 			Obj:   op.Obj,
 			Addr:  uint64(op.Addr),
 			Size:  op.Size,

@@ -100,11 +100,6 @@ func (r *Ring) Total() uint64 { return r.pos.Load() }
 // raised.
 func (r *Ring) Wrapped() bool { return r.pos.Load() > uint64(len(r.slots)) }
 
-// Collisions returns how many ops the ring dropped to concurrent writers:
-// always 0, since writers wait for their slot's previous op instead. It is
-// kept for the /adsm/oplog document's collisions field.
-func (r *Ring) Collisions() uint64 { return 0 }
-
 // SetHeader attaches the replay header describing the recorded
 // configuration.
 func (r *Ring) SetHeader(h Header) { r.header.Store(&h) }
